@@ -1,50 +1,42 @@
-//! Cooperative, pool-schedulable streaming replay.
+//! The lane engine: non-blocking concurrent replay.
 //!
-//! [`ThreadedBackend`](super::ThreadedBackend) dedicates one OS thread per
-//! stream and lets workers *block* — spinning on unmet arcs, parking on
-//! unproduced §5.5 versions, sleeping on a lagging producer. That is the
-//! right shape for one session that owns the machine, and exactly the wrong
-//! shape for a supervisor multiplexing N sessions over one shared worker
-//! pool: a worker parked inside session A's arc spin is a worker session B
-//! never gets.
+//! A [`CoopSession`] owns the shared run state (concurrent lifeguard, §5.2
+//! progress table, §5.5 version table, failure latch); each [`CoopLane`]
+//! is one thread's stream as an independently steppable task. A
+//! [`CoopLane::step`] pulls at most one batch and runs at most `budget`
+//! records through the whole per-record protocol: §5.2 arc gates, §5.4
+//! ConflictAlert serialization and range-table policing, §5.5
+//! produce/consume, apply, and progress advertisement. It never blocks:
+//! whatever a record must wait on — an unmet arc, an unserialized CA copy,
+//! an unproduced version, a lagging producer — returns [`LaneStep::Gated`]
+//! or [`LaneStep::Idle`] instead.
 //!
-//! This module re-expresses the same replay loop as a **non-blocking state
-//! machine**. A [`CoopSession`] owns the shared run state (concurrent
-//! lifeguard, §5.2 progress table, §5.5 version table, failure latch); each
-//! per-thread [`CoopLane`] is an independently steppable task. One
-//! [`CoopLane::step`] call pulls at most one batch from the lane's stream
-//! and delivers at most `budget` records; every condition the threaded
-//! worker would *wait* on — an unmet dependence arc, an unserialized
-//! ConflictAlert copy, an unproduced version, a producer that has not
-//! caught up — instead returns [`LaneStep::Gated`] or [`LaneStep::Idle`],
-//! handing the pool worker back to the scheduler. Fairness across sessions
-//! is then the pool's round-robin, not the OS scheduler's.
+//! This is the only concurrent replay loop, with two schedulers: the
+//! `paralogd` worker pool multiplexes many sessions' lanes over a fixed set
+//! of workers, and [`ThreadedBackend`](super::ThreadedBackend) gives each
+//! lane of one session its own OS thread. Either way a capture reproduces
+//! the fingerprint and violations of
+//! [`DeterministicBackend`](super::DeterministicBackend) ingestion, the
+//! serial reference.
 //!
-//! The ordering machinery is identical to the threaded backend's — the same
-//! `ca_gate_unmet` §5.4 serialization, the same advertise-after-apply
-//! §5.2 protocol, the same produce/consume points against the shared
-//! [`ConcurrentVersionTable`](paralog_meta::ConcurrentVersionTable) — so a
-//! capture replayed through lanes produces the same fingerprint and
-//! violations as [`ThreadedBackend`](super::ThreadedBackend) or
-//! [`ReplaySource`](super::ReplaySource) ingestion.
-//!
-//! Deadlock semantics mirror the backends': a lane gated while *some*
-//! lane can still pull or apply records is simply rescheduled (`Blocked`
-//! is not deadlock); only once **every** lane is parked at a gate or
-//! finished — so no lane will ever advertise the progress a gate waits
-//! on — does a flat-run window (no record applied session-wide) resolve
-//! to [`SessionError::Deadlock`]. A producer that vanishes mid-session
-//! therefore resolves deterministically: `Exhausted` at a record boundary
-//! with no dangling arcs drains clean; severed arcs fail within the
-//! `COOP_SEVERED_GRACE` window.
+//! Deadlock has one rule: only once **every** lane is parked at a gate or
+//! finished — so no lane will ever advertise the progress a gate waits on —
+//! and no record was applied session-wide for `SEVERED_GRACE` is the run a
+//! [`SessionError::Deadlock`], naming what the gated head waits on. A lane
+//! idle on a lagging producer is not deadlock. A producer that vanishes at
+//! a record boundary with no dangling arcs drains clean; severed arcs fail
+//! within the grace window.
 
-use super::backend::{ca_gate_unmet, resolve_replay_form, BackendMode, ReplayForm, INGEST_BATCH};
+use super::backend::{ca_gate_unmet, BackendMode, INGEST_BATCH};
 use super::source::{RecordStream, StreamStatus};
 use super::SessionError;
 use crate::metrics::{PhaseBreakdown, RunMetrics};
-use paralog_events::{AddrRange, EventRecord, Rid, ThreadId};
+use paralog_events::{
+    AddrRange, DependenceArc, EventPayload, EventRecord, Rid, ThreadId, VersionId,
+};
 use paralog_lifeguards::{
-    CostModel, LifeguardFactory, ReplayMode, SessionEventObserver, Violation,
+    ConcurrentLifeguard, CostModel, DeltaLifeguard, LifeguardFactory, ReplayMode,
+    SessionEventObserver, Violation,
 };
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
 use std::collections::VecDeque;
@@ -55,10 +47,86 @@ use std::time::Instant;
 /// Flat-run window once every lane is parked at a gate or finished: the
 /// only possible wakeup is internal (a parked lane noticing its gate
 /// already cleared on its next step), so a quarter second of zero applied
-/// records is decisive. Mirrors the threaded backend's severed-input
-/// grace. A window rather than an instant check because a parked peer
-/// whose gate *just* cleared may yet resume and advertise.
-const COOP_SEVERED_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+/// records is decisive. A window rather than an instant check because a
+/// parked peer whose gate *just* cleared may yet resume and advertise.
+const SEVERED_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// A resolved concurrent replay form: which apply path the lanes drive.
+enum ReplayForm {
+    Cas(Box<dyn ConcurrentLifeguard>),
+    Delta(Box<dyn DeltaLifeguard>),
+}
+
+impl ReplayForm {
+    /// Resolves the session's [`BackendMode`] against what `factory`
+    /// actually offers for a `threads`-way replay.
+    ///
+    /// `Auto` consults [`LifeguardFactory::preferred_mode`] and silently
+    /// falls back to CAS-per-access when no delta form exists; an
+    /// *explicit* [`BackendMode::DeltaMerge`] request without one is an
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::Unsupported`] when the factory lacks the requested
+    /// (or any) concurrent form.
+    fn resolve(
+        factory: &dyn LifeguardFactory,
+        heap: AddrRange,
+        threads: usize,
+        mode: BackendMode,
+    ) -> Result<ReplayForm, SessionError> {
+        let cas = |factory: &dyn LifeguardFactory| {
+            factory
+                .concurrent(heap, threads)
+                .map(ReplayForm::Cas)
+                .ok_or(SessionError::Unsupported(
+                    "lifeguard has no concurrent (Send + Sync) replay form",
+                ))
+        };
+        match mode {
+            BackendMode::CasPerAccess => cas(factory),
+            BackendMode::DeltaMerge => factory
+                .concurrent_delta(heap, threads)
+                .map(ReplayForm::Delta)
+                .ok_or(SessionError::Unsupported(
+                    "lifeguard has no delta-merge replay form",
+                )),
+            BackendMode::Auto => match factory.preferred_mode(threads) {
+                ReplayMode::DeltaMerge => match factory.concurrent_delta(heap, threads) {
+                    Some(delta) => Ok(ReplayForm::Delta(delta)),
+                    None => cas(factory),
+                },
+                ReplayMode::CasPerAccess => cas(factory),
+            },
+        }
+    }
+
+    /// The shared [`ConcurrentLifeguard`] surface (fingerprints,
+    /// violations, CA policy, boundaries) — both forms expose it.
+    fn conc(&self) -> &dyn ConcurrentLifeguard {
+        match self {
+            ReplayForm::Cas(l) => &**l,
+            ReplayForm::Delta(l) => &**l,
+        }
+    }
+
+    /// The delta-merge surface, when this form buffers privately.
+    fn delta(&self) -> Option<&dyn DeltaLifeguard> {
+        match self {
+            ReplayForm::Cas(_) => None,
+            ReplayForm::Delta(l) => Some(&**l),
+        }
+    }
+
+    /// The mode this form runs under (for status surfaces).
+    fn mode(&self) -> ReplayMode {
+        match self.delta() {
+            Some(_) => ReplayMode::DeltaMerge,
+            None => ReplayMode::CasPerAccess,
+        }
+    }
+}
 
 /// What one [`CoopLane::step`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +148,34 @@ pub enum LaneStep {
     Failed,
 }
 
+/// What a lane's gated head record waits on — the detail a deadlock
+/// report names.
+enum Wait {
+    /// An unmet §5.2 dependence arc.
+    Arc(DependenceArc),
+    /// §5.4 serialization: the ConflictAlert issuer (and its rid) has not
+    /// applied its own copy yet.
+    Ca(ThreadId, Rid),
+    /// An unproduced §5.5 version.
+    Version(VersionId),
+}
+
+impl std::fmt::Display for Wait {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Wait::Arc(arc) => write!(
+                f,
+                "{:?} arc from thread {} rid {}",
+                arc.kind, arc.src.0, arc.src_rid
+            ),
+            Wait::Ca(issuer, rid) => {
+                write!(f, "ConflictAlert issuer thread {} rid {rid}", issuer.0)
+            }
+            Wait::Version(vid) => write!(f, "unproduced version {vid}"),
+        }
+    }
+}
+
 /// Shared state of one cooperative replay session.
 struct CoopShared {
     /// The resolved replay form: CAS-per-access or delta-merge lanes.
@@ -88,10 +184,7 @@ struct CoopShared {
     progress: SharedProgressTable,
     versions: paralog_meta::ConcurrentVersionTable,
     lanes: usize,
-    /// Cycle model for the per-phase timed breakdown. The daemon has no
-    /// per-session config surface, so every coop session uses the
-    /// calibrated model — the same constants every figure is generated
-    /// from.
+    /// Cycle model for the per-phase timed breakdown.
     cost: CostModel,
     /// Records applied session-wide — the liveness signal.
     applied: AtomicU64,
@@ -106,8 +199,6 @@ struct CoopShared {
     /// Times a lane polled a `Blocked` stream and got nothing — proof the
     /// non-blocking reader path actually exercised `WouldBlock`.
     blocked_polls: AtomicU64,
-    /// Lanes whose stream reported `Exhausted`.
-    eof_lanes: AtomicUsize,
     /// Lanes currently parked at an unmet gate (head record waiting on a
     /// peer). With `gated + finished == lanes`, no lane can ever advertise
     /// the progress a gate waits on.
@@ -116,7 +207,8 @@ struct CoopShared {
     finished_lanes: AtomicUsize,
     abort: AtomicBool,
     failure: Mutex<Option<SessionError>>,
-    /// Flat-run detector state (armed only once every lane is exhausted).
+    /// Flat-run detector state (armed only once every lane is parked at a
+    /// gate or finished).
     flat: Mutex<FlatWatch>,
     /// Final report, composed exactly once by the last lane to finish.
     report: Mutex<Option<Result<RunMetrics, SessionError>>>,
@@ -145,7 +237,7 @@ impl CoopShared {
     /// itself). Returns `true` when the gate is hopeless: every lane is
     /// parked at a gate or finished — so nothing can ever advertise the
     /// progress a gate waits on — and the whole session has been flat for
-    /// `COOP_SEVERED_GRACE`. Stream exhaustion is deliberately *not*
+    /// `SEVERED_GRACE`. Stream exhaustion is deliberately *not*
     /// part of the condition: a lane parked mid-pending never re-polls its
     /// stream, so a dropped producer behind a gated head would otherwise
     /// go unnoticed.
@@ -163,7 +255,7 @@ impl CoopShared {
             return false;
         }
         let t0 = *watch.flat_since.get_or_insert_with(Instant::now);
-        t0.elapsed() > COOP_SEVERED_GRACE
+        t0.elapsed() > SEVERED_GRACE
     }
 
     /// Live metrics snapshot (also the body of the final report). On a
@@ -271,11 +363,26 @@ impl CoopSession {
         observer: Option<SessionEventObserver>,
         mode: BackendMode,
     ) -> Result<(CoopSession, Vec<CoopLane>), SessionError> {
+        let cost = CostModel::calibrated();
+        CoopSession::launch(factory, heap, streams, observer, mode, cost)
+    }
+
+    /// [`start_with_mode`](Self::start_with_mode) with the cycle model the
+    /// phase breakdown is charged under (the daemon has no per-session
+    /// config, so it uses the calibrated one).
+    pub(crate) fn launch(
+        factory: &dyn LifeguardFactory,
+        heap: AddrRange,
+        streams: Vec<Box<dyn RecordStream>>,
+        observer: Option<SessionEventObserver>,
+        mode: BackendMode,
+        cost: CostModel,
+    ) -> Result<(CoopSession, Vec<CoopLane>), SessionError> {
         if streams.is_empty() {
             return Err(SessionError::EmptySource);
         }
         let k = streams.len();
-        let form = resolve_replay_form(factory, heap, k, mode)?;
+        let form = ReplayForm::resolve(factory, heap, k, mode)?;
         if let Some(observer) = observer {
             form.conc().set_event_observer(observer);
         }
@@ -286,14 +393,13 @@ impl CoopSession {
             progress: SharedProgressTable::new(k),
             versions: paralog_meta::ConcurrentVersionTable::new(k),
             lanes: k,
-            cost: CostModel::calibrated(),
+            cost,
             applied: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
             analysis_cycles: AtomicU64::new(0),
             publish_cycles: AtomicU64::new(0),
             wire_bytes: AtomicU64::new(0),
             blocked_polls: AtomicU64::new(0),
-            eof_lanes: AtomicUsize::new(0),
             gated_lanes: AtomicUsize::new(0),
             finished_lanes: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
@@ -464,36 +570,32 @@ impl CoopLane {
                 self.finish();
                 return LaneStep::Failed;
             }
-            // Delta flush point, mirroring the threaded worker: before the
-            // head's ordered interaction — a gate it may park at (arc, CA
-            // serialization, §5.5 consume) or a publish peers read (§5.5
-            // produce snapshot, CA metadata update) — the lane's buffered
-            // window and deferred watermark must be out.
+            // Delta flush point: before the head's ordered interaction — a
+            // gate it may park at (arc, CA serialization, §5.5 consume) or a
+            // publish peers read (§5.5 produce snapshot, CA metadata
+            // update) — the lane's buffered window and deferred watermark
+            // must be out.
             let ordered = {
                 let head = self.pending.front().expect("checked above");
                 !head.arcs.is_empty()
                     || head.consume_version.is_some()
                     || !head.produce_versions.is_empty()
-                    || matches!(head.payload, paralog_events::EventPayload::Ca(_))
+                    || matches!(head.payload, EventPayload::Ca(_))
             };
             if ordered && self.shared.form.delta().is_some() {
                 self.flush_window();
             }
             let head = self.pending.front().expect("checked above");
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
-            let gated = head
-                .arcs
-                .iter()
-                .any(|arc| !self.shared.progress.satisfies(arc.src, arc.src_rid))
-                || ca_gate_unmet(
-                    head,
-                    self.tid.index(),
-                    &self.shared.ca_policy,
-                    |src, rid| self.shared.progress.satisfies(src, rid),
-                );
-            if gated {
+            let satisfied = |src, rid| self.shared.progress.satisfies(src, rid);
+            let wait = match head.arcs.iter().find(|a| !satisfied(a.src, a.src_rid)) {
+                Some(arc) => Some(Wait::Arc(*arc)),
+                None => ca_gate_unmet(head, self.tid.index(), &self.shared.ca_policy, satisfied)
+                    .map(|ca| Wait::Ca(ca.issuer, ca.issuer_rid)),
+            };
+            if let Some(wait) = wait {
                 self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-                return self.gated(delivered);
+                return self.gated(delivered, wait);
             }
             // §5.5 produce points: exactly once per head, even across
             // consume-gated re-steps.
@@ -523,7 +625,7 @@ impl CoopLane {
                     Some(v) => Some(v),
                     None => {
                         self.shared.stalls.fetch_add(1, Ordering::Relaxed);
-                        return self.gated(delivered);
+                        return self.gated(delivered, Wait::Version(vid));
                     }
                 },
                 None => None,
@@ -540,7 +642,7 @@ impl CoopLane {
             self.head_produced = false;
             self.unpark();
             // §5.4: police the range table before applying.
-            if let paralog_events::EventPayload::Instr(instr) = &rec.payload {
+            if let EventPayload::Instr(instr) = &rec.payload {
                 if let Some((mem, _)) = instr.mem_access() {
                     if let Some(entry) = self.range_table.check(self.tid, mem.range()) {
                         self.shared.form.conc().on_syscall_race(
@@ -560,7 +662,7 @@ impl CoopLane {
                     .conc()
                     .apply(self.tid, &rec, versioned.as_ref()),
             }
-            if let paralog_events::EventPayload::Ca(ca) = &rec.payload {
+            if let EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
                 if actions.track_range {
                     match (ca.phase, ca.range) {
@@ -572,9 +674,7 @@ impl CoopLane {
                     }
                 }
             }
-            if self.shared.form.delta().is_none()
-                || matches!(rec.payload, paralog_events::EventPayload::Ca(_))
-            {
+            if self.shared.form.delta().is_none() || matches!(rec.payload, EventPayload::Ca(_)) {
                 // CAS lanes advertise per record; a delta lane still
                 // advertises CA copies immediately — remote copies gate on
                 // the issuer's advertised progress, and the CA apply
@@ -626,10 +726,7 @@ impl CoopLane {
         }
         match status {
             StreamStatus::Exhausted => {
-                if !self.eof {
-                    self.eof = true;
-                    self.shared.eof_lanes.fetch_add(1, Ordering::SeqCst);
-                }
+                self.eof = true;
                 if !got_records {
                     self.finish();
                     return Some(LaneStep::Finished);
@@ -645,8 +742,10 @@ impl CoopLane {
                 }
             }
         }
-        // Batch boundary: the reclamation quiescence point, exactly as in
-        // the threaded worker.
+        // Batch boundary: no record application is in flight on this lane,
+        // so stale fast-path reads are dead — the quiescence point
+        // epoch-based reclamation (version-table chunks, interned lockset
+        // masks) keys off.
         self.shared.form.conc().epoch_boundary(self.tid);
         self.shared.versions.advance_epoch(self.tid);
         None
@@ -668,7 +767,7 @@ impl CoopLane {
     /// Resolves a gated head: progress already made this step still counts;
     /// a hopeless gate (every lane parked or finished, session flat past
     /// the grace window) fails the run.
-    fn gated(&mut self, delivered: usize) -> LaneStep {
+    fn gated(&mut self, delivered: usize, wait: Wait) -> LaneStep {
         if delivered > 0 {
             return LaneStep::Progressed;
         }
@@ -679,10 +778,10 @@ impl CoopLane {
         if self.shared.gate_is_deadlock() {
             let head = self.pending.front().expect("gated head");
             self.shared.fail(SessionError::Deadlock(format!(
-                "thread {} gated at rid {} (arcs {:?}) with every peer parked or \
+                "thread {} gated at rid {} on {wait} with every peer parked or \
                  finished; nothing can ever satisfy it (truncated capture or \
                  dropped producer)",
-                self.tid.0, head.rid, head.arcs
+                self.tid.0, head.rid
             )));
             self.finish();
             return LaneStep::Failed;

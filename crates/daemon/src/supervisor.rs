@@ -576,7 +576,9 @@ struct Conn {
 /// The single non-blocking pump over every producer connection: accepts,
 /// handshakes, and shovels frame payloads into session feeds. Per-session
 /// backpressure is applied here by *not reading* a connection whose
-/// session sits on more than the configured buffered-byte cap.
+/// session sits on more than the configured buffered-byte cap — until the
+/// session is done or failed, when the connection is dropped so the
+/// producer's blocked send returns an error.
 fn pump_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -601,6 +603,12 @@ fn pump_loop(inner: &Arc<DaemonInner>, listener: &UnixListener) {
         conns.retain_mut(|conn| {
             if let ConnState::Streaming { entry, .. } = &conn.state {
                 if entry.buffered.bytes() > inner.session_buffer_bytes {
+                    if entry.report_for().is_some() {
+                        // The session is over and nothing will ever read
+                        // the buffered bytes: skipping would block the
+                        // producer's send forever. Drop it instead.
+                        return false;
+                    }
                     return true; // back-pressure: skip this round
                 }
             }

@@ -7,8 +7,8 @@
 //! LockSet ship hand-written forms of that shape). [`LockedConcurrent`] is
 //! the conservative end of the spectrum: the ordinary sequential
 //! [`Lifeguard`] threads run behind one mutex, every record applied
-//! atomically. Arc enforcement still happens outside (the backend's
-//! progress-table spin), so the delivered order matches the deterministic
+//! atomically. Arc enforcement still happens outside (the replay lane's
+//! progress-table gate), so the delivered order matches the deterministic
 //! ingestion order for all conflicting operations — the adapter serializes
 //! only the handler bodies.
 //!

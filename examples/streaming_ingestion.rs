@@ -83,7 +83,7 @@ fn main() {
         .run()
         .unwrap();
     println!(
-        "streamed (threaded)     : fingerprint match: {}, {} arc spins",
+        "streamed (threaded)     : fingerprint match: {}, {} gated steps",
         threaded.metrics.fingerprint == buffered.metrics.fingerprint,
         threaded.metrics.dependence_stalls,
     );

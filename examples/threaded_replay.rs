@@ -4,9 +4,9 @@
 //! The same `MonitorSession` is driven through both bundled backends: the
 //! deterministic simulator establishes the expected final metadata, then the
 //! real-thread backend races one OS thread per stream over a lock-free
-//! atomic shadow, enforcing order purely by spinning on the atomic progress
-//! table (§5.2). Whatever the OS scheduler does, the fingerprints must
-//! match.
+//! atomic shadow, each thread stepping its replay lane and re-stepping
+//! whenever the head record is gated on the atomic progress table (§5.2).
+//! Whatever the OS scheduler does, the fingerprints must match.
 //!
 //! ```text
 //! cargo run --release --example threaded_replay
@@ -33,7 +33,7 @@ fn main() {
             .expect("deterministic run")
             .metrics
             .fingerprint;
-        let mut spins = 0;
+        let mut stalls = 0;
         for round in 0..5 {
             let m = MonitorSession::builder()
                 .source(w.clone())
@@ -51,11 +51,11 @@ fn main() {
                 m.fingerprint
             );
             assert!(m.matches_reference());
-            spins += m.dependence_stalls;
+            stalls += m.dependence_stalls;
         }
         println!(
             "{bench:<12} 5 concurrent replays, all metadata-identical to the deterministic run \
-             ({spins} enforcement spins observed)"
+             ({stalls} gated steps observed)"
         );
     }
     println!("\nsynchronization-free fast paths hold under real concurrency (§5.3).");

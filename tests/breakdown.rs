@@ -9,13 +9,16 @@
 //!   **codec-wire** (incremental decode) reports *identical* analysis-phase
 //!   cycles — analysis cost is a function of the payload, never of the
 //!   transport — while only the wire replay pays a transport phase;
-//! * the cooperative lane path (`paralogd`'s form) reports the same
-//!   payload-derived phases as the deterministic backend for the same
-//!   capture, and its breakdown also sums to total.
+//! * the cooperative lane path — scheduled by a test loop here, by the
+//!   `paralogd` pool or one OS thread per lane (`ThreadedBackend`)
+//!   elsewhere — reports the same payload-derived phases as the
+//!   deterministic backend for the same capture, and its breakdown also
+//!   sums to total.
 
 use paralog::core::{
     BackendMode, CoopSession, DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode,
-    Platform, RecordStream, ReplaySource, StreamingReplaySource, TRANSPORT_BYTES_PER_CYCLE,
+    Platform, RecordStream, ReplaySource, StreamingReplaySource, ThreadedBackend,
+    TRANSPORT_BYTES_PER_CYCLE,
 };
 use paralog::events::codec::encode;
 use paralog::events::EventRecord;
@@ -142,6 +145,15 @@ fn coop_lanes_report_the_same_payload_phases() {
         .run()
         .unwrap()
         .metrics;
+    let threaded = MonitorSession::builder()
+        .source(ReplaySource::new(streams.clone(), w.heap))
+        .lifeguard(LifeguardKind::TaintCheck)
+        .backend(ThreadedBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics;
 
     let boxed: Vec<Box<dyn RecordStream>> = streams
         .into_iter()
@@ -178,6 +190,21 @@ fn coop_lanes_report_the_same_payload_phases() {
     assert_eq!(cp.publish, dp.publish, "coop publish == deterministic");
     assert_eq!(cp.transport, 0, "buffered lanes have no wire");
     assert_eq!(cp.total(), coop.lg_finish, "coop phases sum to total");
+
+    // One OS thread per lane: the same engine, the same payload phases.
+    assert_eq!(threaded.fingerprint, live_fp);
+    let tp = threaded.phases.expect("threaded runs report phases");
+    assert_eq!(
+        tp.analysis, dp.analysis,
+        "threaded analysis == deterministic"
+    );
+    assert_eq!(tp.capture, dp.capture, "threaded capture == deterministic");
+    assert_eq!(tp.publish, dp.publish, "threaded publish == deterministic");
+    assert_eq!(
+        tp.total(),
+        threaded.lg_finish,
+        "threaded phases sum to total"
+    );
 }
 
 #[test]

@@ -357,6 +357,7 @@ fn tso_workloads_replay_through_new_forms() {
         (LifeguardKind::MemCheck, Benchmark::Ocean),
         (LifeguardKind::LockSet, Benchmark::Fluidanimate),
         (LifeguardKind::HappensBefore, Benchmark::Fluidanimate),
+        (LifeguardKind::TaintCheck, Benchmark::Ocean),
     ] {
         let w = workload(bench, 4);
         let out = MonitorSession::builder()

@@ -607,3 +607,70 @@ fn oversized_frame_is_a_transport_protocol_fault() {
     hdr[2..].copy_from_slice(&(proto::MAX_FRAME_BYTES + 1).to_le_bytes());
     assert!(proto::FrameParser::new().feed(&hdr, |_| ()).is_err());
 }
+
+#[test]
+fn session_failed_over_the_buffer_cap_drops_its_producer() {
+    use paralog::events::{ArcKind, DependenceArc, ThreadId};
+    use std::sync::mpsc;
+
+    let heap = AddrRange::new(0x1000_0000, 0x1000);
+    // An early frame for thread 1 carries a record that waits on thread
+    // 0's first record, which in turn waits on it: a dependence cycle no
+    // schedule satisfies. Both lanes park, so nothing drains thread 0's
+    // feed, and the session fails (deadlock) only after its grace window —
+    // by then the producer has streamed past the 1 MiB per-session cap.
+    let mut closing = EventRecord::instr(Rid(1), Instr::Nop);
+    closing
+        .arcs
+        .push(DependenceArc::new(ThreadId(0), Rid(1), ArcKind::Sync));
+    let mut recs: Vec<EventRecord> = (1..=20_000u64)
+        .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+        .collect();
+    recs[0]
+        .arcs
+        .push(DependenceArc::new(ThreadId(1), Rid(1), ArcKind::Sync));
+    let chunk = encode(&recs);
+
+    let daemon = spawn_daemon("cap");
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("capped", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches");
+    let id = producer.session_id();
+    producer.send(1, &encode(&[closing])).unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut sent = 0usize;
+        let result = loop {
+            if let Err(e) = producer.send(0, &chunk) {
+                break Err(e);
+            }
+            sent += chunk.len();
+            if sent > 64 << 20 {
+                break Ok(sent);
+            }
+        };
+        let _ = tx.send(result);
+    });
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(_)) => {}
+        Ok(Ok(sent)) => panic!("daemon accepted {sent} bytes for a failed session"),
+        Err(_) => panic!("send to a failed, over-cap session never returned"),
+    }
+    let status = await_done(&daemon, id);
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+
+    // The daemon keeps serving: a second session completes.
+    let (heap, encoded) = independent_capture(2, 100);
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("next", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("attaches after the capped session");
+    producer.send_capture(&encoded, 64).unwrap();
+    let status = await_done(&daemon, producer.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(field(&status, "records").as_deref(), Some("200"));
+    daemon.shutdown();
+}
