@@ -47,7 +47,6 @@ use paralog_lifeguards::{
 };
 use paralog_order::{Gate, OrderEnforcer, ProgressTable, RangeTable};
 use paralog_workloads::Workload;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Records pulled from a stream per refill — the backend-side buffering
@@ -178,8 +177,11 @@ pub(crate) fn ca_gate_unmet<'r>(
 /// One thread's ingestion state in the streaming replay loop.
 struct IngestLane {
     stream: Box<dyn RecordStream>,
-    /// At most one pulled batch awaiting delivery.
-    pending: VecDeque<EventRecord>,
+    /// The last pulled batch, decoded straight into this buffer; records
+    /// are delivered in place from `batch[head..]`.
+    batch: Vec<EventRecord>,
+    /// Cursor of the next record to deliver.
+    head: usize,
     exhausted: bool,
     enforcer: OrderEnforcer,
     range_table: RangeTable,
@@ -222,14 +224,14 @@ fn replay_streams(
         .into_iter()
         .map(|stream| IngestLane {
             stream,
-            pending: VecDeque::new(),
+            batch: Vec::with_capacity(INGEST_BATCH),
+            head: 0,
             exhausted: false,
             enforcer: OrderEnforcer::new(),
             range_table: RangeTable::new(k),
         })
         .collect();
 
-    let mut batch: Vec<EventRecord> = Vec::with_capacity(INGEST_BATCH);
     let mut records = 0u64;
     let mut delivered_ops = 0u64;
     let mut stalls = 0u64;
@@ -244,16 +246,17 @@ fn replay_streams(
             // Run this thread until its head blocks, its producer lags, or
             // its stream drains.
             loop {
-                if lane.pending.is_empty() {
+                if lane.head == lane.batch.len() {
                     if lane.exhausted {
                         break;
                     }
-                    let status = lane.stream.next_batch(&mut batch, INGEST_BATCH)?;
-                    // Drain whatever arrived regardless of status (a stream
-                    // may deliver a partial batch and *then* report Blocked)
-                    // so nothing leaks into another lane's refill.
-                    let got_records = !batch.is_empty();
-                    lane.pending.extend(batch.drain(..));
+                    lane.batch.clear();
+                    lane.head = 0;
+                    let status = lane.stream.next_batch(&mut lane.batch, INGEST_BATCH)?;
+                    // Deliver whatever arrived regardless of status (a
+                    // stream may deliver a partial batch and *then* report
+                    // Blocked).
+                    let got_records = !lane.batch.is_empty();
                     match status {
                         StreamStatus::Yielded | StreamStatus::Blocked if got_records => {}
                         StreamStatus::Yielded | StreamStatus::Blocked => {
@@ -272,25 +275,24 @@ fn replay_streams(
                     }
                 }
                 let mut arc_blocked = false;
-                while let Some(head) = lane.pending.front() {
-                    if let Gate::Blocked { .. } = lane.enforcer.regate(head, &progress) {
+                while let Some(rec) = lane.batch.get(lane.head) {
+                    if let Gate::Blocked { .. } = lane.enforcer.regate(rec, &progress) {
                         stalls += 1;
                         arc_blocked = true;
                         break;
                     }
-                    if ca_gate_unmet(head, t, &ca_policy, |src, rid| progress.get(src) >= rid)
+                    if ca_gate_unmet(rec, t, &ca_policy, |src, rid| progress.get(src) >= rid)
                         .is_some()
                     {
                         stalls += 1;
                         arc_blocked = true;
                         break;
                     }
-                    let rec = lane.pending.pop_front().expect("peeked");
-                    let (a, p) = PhaseBreakdown::record_cycles(cost, &rec, t);
+                    let (a, p) = PhaseBreakdown::record_cycles(cost, rec, t);
                     analysis += a;
                     publish += p;
                     deliver_ingested(
-                        &rec,
+                        rec,
                         t,
                         &mut lgs,
                         &mut lane.range_table,
@@ -300,6 +302,7 @@ fn replay_streams(
                         &mut delivered_ops,
                     )?;
                     progress.advertise(ThreadId(t as u16), rec.rid);
+                    lane.head += 1;
                     records += 1;
                     any_progress = true;
                 }
@@ -308,7 +311,7 @@ fn replay_streams(
                 }
             }
         }
-        if lanes.iter().all(|l| l.exhausted && l.pending.is_empty()) {
+        if lanes.iter().all(|l| l.exhausted && l.head == l.batch.len()) {
             break;
         }
         if any_progress {
@@ -331,7 +334,7 @@ fn replay_streams(
                 .iter()
                 .enumerate()
                 .filter_map(|(t, lane)| {
-                    lane.pending.front().map(|head| {
+                    lane.batch.get(lane.head).map(|head| {
                         format!(
                             "thread {t} blocked at rid {} arcs {:?}",
                             head.rid, head.arcs

@@ -11,6 +11,15 @@
 //! an unproduced version, a lagging producer — returns [`LaneStep::Gated`]
 //! or [`LaneStep::Idle`] instead.
 //!
+//! Records are decoded once, straight into the lane's batch buffer, and
+//! applied in place from a cursor. Per-record counters (applied records,
+//! modeled analysis and publish cycles) are summed in the lane and folded
+//! into the session once per step — before the deadlock rule or the final
+//! report reads them — so [`CoopSession::records`], the daemon's STATUS
+//! `records_per_sec` and the phase counters advance once per step: a live
+//! reading lags by at most one batch (`INGEST_BATCH` = 256 records) per
+//! lane.
+//!
 //! This is the only concurrent replay loop, with two schedulers: the
 //! `paralogd` worker pool multiplexes many sessions' lanes over a fixed set
 //! of workers, and [`ThreadedBackend`](super::ThreadedBackend) gives each
@@ -39,7 +48,6 @@ use paralog_lifeguards::{
     SessionEventObserver, Violation,
 };
 use paralog_order::{CaPolicy, RangeTable, SharedProgressTable};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -238,7 +246,7 @@ impl CoopShared {
     /// parked at a gate or finished — so nothing can ever advertise the
     /// progress a gate waits on — and the whole session has been flat for
     /// `SEVERED_GRACE`. Stream exhaustion is deliberately *not*
-    /// part of the condition: a lane parked mid-pending never re-polls its
+    /// part of the condition: a lane parked mid-batch never re-polls its
     /// stream, so a dropped producer behind a gated head would otherwise
     /// go unnoticed.
     fn gate_is_deadlock(&self) -> bool {
@@ -417,8 +425,9 @@ impl CoopSession {
                 tid: ThreadId(t as u16),
                 shared: Arc::clone(&shared),
                 stream,
-                pending: VecDeque::new(),
                 batch: Vec::with_capacity(INGEST_BATCH),
+                head: 0,
+                tally: Tally::default(),
                 range_table: RangeTable::new(k),
                 unadvertised: None,
                 wire_seen: 0,
@@ -466,7 +475,8 @@ impl CoopSession {
         self.shared.metrics()
     }
 
-    /// Records applied so far.
+    /// Records applied so far. Lanes publish their count once per step, so
+    /// a live reading lags by at most one batch per lane.
     pub fn records(&self) -> u64 {
         self.shared.applied.load(Ordering::Relaxed)
     }
@@ -508,9 +518,13 @@ pub struct CoopLane {
     tid: ThreadId,
     shared: Arc<CoopShared>,
     stream: Box<dyn RecordStream>,
-    /// At most one pulled batch awaiting delivery.
-    pending: VecDeque<EventRecord>,
+    /// The last pulled batch, decoded straight into this buffer; records
+    /// are delivered in place from `batch[head..]`.
     batch: Vec<EventRecord>,
+    /// Cursor of the next record to deliver.
+    head: usize,
+    /// Per-record counters of this step, not yet folded into the session.
+    tally: Tally,
     range_table: RangeTable,
     /// Delta mode's deferred-advertisement watermark (the last applied rid
     /// not yet published to the §5.2 progress table); always `None` on a
@@ -527,11 +541,21 @@ pub struct CoopLane {
     done: bool,
 }
 
+/// A lane's per-record counters, summed locally during a step and folded
+/// into [`CoopShared`] with one atomic add each, so lanes do not contend on
+/// the session's counter line for every record.
+#[derive(Default)]
+struct Tally {
+    applied: u64,
+    analysis_cycles: u64,
+    publish_cycles: u64,
+}
+
 impl std::fmt::Debug for CoopLane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CoopLane")
             .field("tid", &self.tid)
-            .field("pending", &self.pending.len())
+            .field("pending", &(self.batch.len() - self.head))
             .field("eof", &self.eof)
             .field("done", &self.done)
             .finish_non_exhaustive()
@@ -556,16 +580,13 @@ impl CoopLane {
             self.finish();
             return LaneStep::Failed;
         }
-        if self.pending.is_empty() {
+        if self.head == self.batch.len() {
             if let Some(step) = self.refill() {
                 return step;
             }
         }
         let mut delivered = 0usize;
-        while delivered < budget.max(1) {
-            if self.pending.is_empty() {
-                break;
-            }
+        while delivered < budget.max(1) && self.head < self.batch.len() {
             if self.shared.aborted() {
                 self.finish();
                 return LaneStep::Failed;
@@ -576,7 +597,7 @@ impl CoopLane {
             // update) — the lane's buffered window and deferred watermark
             // must be out.
             let ordered = {
-                let head = self.pending.front().expect("checked above");
+                let head = &self.batch[self.head];
                 !head.arcs.is_empty()
                     || head.consume_version.is_some()
                     || !head.produce_versions.is_empty()
@@ -585,7 +606,7 @@ impl CoopLane {
             if ordered && self.shared.form.delta().is_some() {
                 self.flush_window();
             }
-            let head = self.pending.front().expect("checked above");
+            let head = &self.batch[self.head];
             // §5.2 arcs and §5.4 CA serialization, checked without waiting.
             let satisfied = |src, rid| self.shared.progress.satisfies(src, rid);
             let wait = match head.arcs.iter().find(|a| !satisfied(a.src, a.src_rid)) {
@@ -630,17 +651,13 @@ impl CoopLane {
                 },
                 None => None,
             };
-            let rec = self.pending.pop_front().expect("peeked");
-            let (analysis, publish) =
-                PhaseBreakdown::record_cycles(&self.shared.cost, &rec, self.tid.index());
-            self.shared
-                .analysis_cycles
-                .fetch_add(analysis, Ordering::Relaxed);
-            self.shared
-                .publish_cycles
-                .fetch_add(publish, Ordering::Relaxed);
             self.head_produced = false;
             self.unpark();
+            let rec = &self.batch[self.head];
+            let (analysis, publish) =
+                PhaseBreakdown::record_cycles(&self.shared.cost, rec, self.tid.index());
+            self.tally.analysis_cycles += analysis;
+            self.tally.publish_cycles += publish;
             // §5.4: police the range table before applying.
             if let EventPayload::Instr(instr) = &rec.payload {
                 if let Some((mem, _)) = instr.mem_access() {
@@ -655,12 +672,12 @@ impl CoopLane {
                 }
             }
             match self.shared.form.delta() {
-                Some(d) => d.apply_delta(self.tid, &rec, versioned.as_ref()),
+                Some(d) => d.apply_delta(self.tid, rec, versioned.as_ref()),
                 None => self
                     .shared
                     .form
                     .conc()
-                    .apply(self.tid, &rec, versioned.as_ref()),
+                    .apply(self.tid, rec, versioned.as_ref()),
             }
             if let EventPayload::Ca(ca) = &rec.payload {
                 let actions = self.shared.ca_policy.actions(ca.what, ca.phase);
@@ -683,18 +700,40 @@ impl CoopLane {
             } else {
                 self.unadvertised = Some(rec.rid);
             }
-            self.shared.applied.fetch_add(1, Ordering::Relaxed);
+            self.tally.applied += 1;
+            self.head += 1;
             delivered += 1;
         }
-        if self.pending.is_empty() && self.eof {
+        if self.head == self.batch.len() && self.eof {
             self.finish();
             return LaneStep::Finished;
         }
+        self.fold_tally();
         LaneStep::Progressed
     }
 
-    /// Pulls one batch. `Some(step)` short-circuits the caller (idle,
-    /// finished or failed); `None` means records are pending.
+    /// Folds the step's per-record counters into the session. Runs before
+    /// anything reads them for a decision — the deadlock rule in
+    /// [`gated`](Self::gated), the report [`finish`](Self::finish) may
+    /// compose — and at the end of every delivering step.
+    fn fold_tally(&mut self) {
+        let tally = std::mem::take(&mut self.tally);
+        if tally.applied == 0 {
+            return;
+        }
+        let shared = &self.shared;
+        shared.applied.fetch_add(tally.applied, Ordering::Relaxed);
+        shared
+            .analysis_cycles
+            .fetch_add(tally.analysis_cycles, Ordering::Relaxed);
+        shared
+            .publish_cycles
+            .fetch_add(tally.publish_cycles, Ordering::Relaxed);
+    }
+
+    /// Decodes one batch into the lane's buffer, replacing the delivered
+    /// one. `Some(step)` short-circuits the caller (idle, finished or
+    /// failed); `None` means records are pending.
     fn refill(&mut self) -> Option<LaneStep> {
         // Batch boundary: a delta lane publishes its window *before* the
         // poll — the lane may go `Idle` on a lagging producer, and peers
@@ -704,6 +743,8 @@ impl CoopLane {
             self.finish();
             return Some(LaneStep::Finished);
         }
+        self.batch.clear();
+        self.head = 0;
         let status = match self.stream.next_batch(&mut self.batch, INGEST_BATCH) {
             Ok(status) => status,
             Err(err) => {
@@ -712,10 +753,9 @@ impl CoopLane {
                 return Some(LaneStep::Failed);
             }
         };
-        // Drain whatever arrived regardless of status (a stream may deliver
-        // a partial batch and *then* report Blocked).
+        // Deliver whatever arrived regardless of status (a stream may
+        // deliver a partial batch and *then* report Blocked).
         let got_records = !self.batch.is_empty();
-        self.pending.extend(self.batch.drain(..));
         // Fold freshly consumed wire bytes into the transport total.
         let wired = self.stream.transport_bytes();
         if wired > self.wire_seen {
@@ -768,6 +808,7 @@ impl CoopLane {
     /// a hopeless gate (every lane parked or finished, session flat past
     /// the grace window) fails the run.
     fn gated(&mut self, delivered: usize, wait: Wait) -> LaneStep {
+        self.fold_tally();
         if delivered > 0 {
             return LaneStep::Progressed;
         }
@@ -776,7 +817,7 @@ impl CoopLane {
             self.shared.gated_lanes.fetch_add(1, Ordering::SeqCst);
         }
         if self.shared.gate_is_deadlock() {
-            let head = self.pending.front().expect("gated head");
+            let head = &self.batch[self.head];
             self.shared.fail(SessionError::Deadlock(format!(
                 "thread {} gated at rid {} on {wait} with every peer parked or \
                  finished; nothing can ever satisfy it (truncated capture or \
@@ -805,6 +846,7 @@ impl CoopLane {
             return;
         }
         self.done = true;
+        self.fold_tally();
         self.unpark();
         // However the lane exits (drained, failed, aborted), its buffered
         // window lands before the terminal quiescence transition.

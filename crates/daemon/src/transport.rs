@@ -155,9 +155,12 @@ impl io::Read for FeedReader {
             };
         }
         let n = buf.len().min(out.len());
-        for (slot, byte) in out.iter_mut().zip(buf.drain(..n)) {
-            *slot = byte;
-        }
+        // The ring may wrap: copy its two halves, then release them.
+        let (front, back) = buf.as_slices();
+        let split = front.len().min(n);
+        out[..split].copy_from_slice(&front[..split]);
+        out[split..n].copy_from_slice(&back[..n - split]);
+        buf.drain(..n);
         self.inner.total.0.fetch_sub(n, Ordering::Relaxed);
         Ok(n)
     }
@@ -208,6 +211,26 @@ mod tests {
         );
         drop(clone);
         assert_eq!(reader.read(&mut buf).unwrap(), 0, "last drop is EOF");
+    }
+
+    #[test]
+    fn reads_across_the_ring_seam() {
+        let (writer, mut reader) = ByteFeed::pair(Arc::default());
+        let bytes = |range: std::ops::Range<usize>| -> Vec<u8> { range.map(|i| i as u8).collect() };
+        writer.write(&bytes(0..100));
+        let cap = reader.inner.buf.lock().unwrap().capacity();
+        let mut buf = [0u8; 90];
+        assert_eq!(reader.read(&mut buf).unwrap(), 90);
+        assert_eq!(&buf[..], &bytes(0..90)[..]);
+        // Fill the freed front without growing, so the ring wraps.
+        let end = 100 + cap - 10;
+        writer.write(&bytes(100..end));
+        let wrapped = !reader.inner.buf.lock().unwrap().as_slices().1.is_empty();
+        assert!(wrapped, "the second write wraps the ring");
+        let mut all = vec![0u8; cap];
+        assert_eq!(reader.read(&mut all).unwrap(), cap);
+        assert_eq!(all, bytes(90..end));
+        assert_eq!(reader.inner.total.bytes(), 0);
     }
 
     #[test]

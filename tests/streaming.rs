@@ -14,11 +14,15 @@
 //!   rather than hanging, on both backends; one truncated mid-record
 //!   reports `MalformedStream`;
 //! * a bounded, back-pressured push feed drives a live session from a
-//!   producer thread and matches the equivalent buffered run.
+//!   producer thread and matches the equivalent buffered run;
+//! * lanes publish their applied-record count by the end of every step,
+//!   including a step that also drains the stream, so live readings and
+//!   the final report never miss a delivered record.
 
 use paralog::core::{
-    DeterministicBackend, MonitorConfig, MonitorSession, MonitoringMode, Platform, PushSource,
-    ReplaySource, SessionError, StreamingReplaySource, ThreadedBackend,
+    BackendMode, CoopSession, DeterministicBackend, EventSource, LaneStep, MonitorConfig,
+    MonitorSession, MonitoringMode, Platform, PushSource, RecordStream, ReplaySource, SessionError,
+    SourceInput, StreamStatus, StreamingReplaySource, ThreadedBackend,
 };
 use paralog::events::codec::{encode, StreamDecoder};
 use paralog::events::{
@@ -474,6 +478,155 @@ fn dropped_push_feed_with_severed_arc_deadlocks() {
         elapsed < std::time::Duration::from_millis(1500),
         "severed push feed took {elapsed:?}"
     );
+}
+
+/// A stream that hands out at most `chunk` records per pull and returns its
+/// last records together with [`StreamStatus::Exhausted`], instead of in a
+/// batch of their own followed by an empty `Exhausted` pull.
+#[derive(Debug)]
+struct TailStream {
+    records: std::collections::VecDeque<EventRecord>,
+    chunk: usize,
+}
+
+impl RecordStream for TailStream {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<EventRecord>,
+        max: usize,
+    ) -> Result<StreamStatus, SessionError> {
+        let n = max.min(self.chunk).min(self.records.len());
+        out.extend(self.records.drain(..n));
+        Ok(if self.records.is_empty() {
+            StreamStatus::Exhausted
+        } else {
+            StreamStatus::Yielded
+        })
+    }
+}
+
+fn tail_streams(streams: &[Vec<EventRecord>], chunk: usize) -> Vec<Box<dyn RecordStream>> {
+    streams
+        .iter()
+        .map(|s| {
+            Box::new(TailStream {
+                records: s.clone().into(),
+                chunk,
+            }) as Box<dyn RecordStream>
+        })
+        .collect()
+}
+
+#[derive(Debug)]
+struct TailSource {
+    streams: Vec<Vec<EventRecord>>,
+    heap: AddrRange,
+    chunk: usize,
+}
+
+impl EventSource for TailSource {
+    fn thread_count(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn heap(&self) -> AddrRange {
+        self.heap
+    }
+
+    fn open(self: Box<Self>) -> SourceInput {
+        SourceInput::Streams(tail_streams(&self.streams, self.chunk))
+    }
+}
+
+/// A lane whose final pull delivers records *and* exhaustion finishes in
+/// the same step that applies them: the report it composes must already
+/// count them. Checked for the lane engine under both schedulers (a
+/// caller's loop and `ThreadedBackend`) against the deterministic loop.
+#[test]
+fn records_delivered_with_exhaustion_reach_the_report() {
+    let (w, streams, live_fp, _) = capture(Benchmark::Barnes, 4);
+    let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
+    for chunk in [7, 300] {
+        for threaded in [false, true] {
+            let builder = MonitorSession::builder()
+                .source(TailSource {
+                    streams: streams.clone(),
+                    heap: w.heap,
+                    chunk,
+                })
+                .lifeguard(LifeguardKind::TaintCheck);
+            let builder = if threaded {
+                builder.backend(ThreadedBackend)
+            } else {
+                builder.backend(DeterministicBackend)
+            };
+            let out = builder.build().unwrap().run().unwrap().metrics;
+            assert_eq!(out.records, total, "threaded={threaded}, chunk {chunk}");
+            assert_eq!(
+                out.fingerprint, live_fp,
+                "threaded={threaded}, chunk {chunk}"
+            );
+        }
+        let (session, mut lanes) = CoopSession::start_with_mode(
+            &LifeguardKind::TaintCheck,
+            w.heap,
+            tail_streams(&streams, chunk),
+            None,
+            BackendMode::CasPerAccess,
+        )
+        .expect("session starts");
+        while !session.is_complete() {
+            for lane in &mut lanes {
+                lane.step(usize::MAX);
+            }
+        }
+        let report = session.report().expect("complete").expect("clean drain");
+        assert_eq!(report.records, total, "coop lanes, chunk {chunk}");
+        assert_eq!(report.fingerprint, live_fp, "coop lanes, chunk {chunk}");
+    }
+}
+
+/// `records()` is exact at step granularity: stepping every lane one record
+/// at a time on one thread, the session count after each step equals the
+/// records delivered so far.
+#[test]
+fn records_are_published_by_the_end_of_every_step() {
+    let (w, streams, live_fp, _) = capture(Benchmark::Barnes, 4);
+    let (session, mut lanes) = CoopSession::start_with_mode(
+        &LifeguardKind::TaintCheck,
+        w.heap,
+        tail_streams(&streams, 16),
+        None,
+        BackendMode::CasPerAccess,
+    )
+    .expect("session starts");
+    // With a budget of one, a `Progressed` step delivered exactly one
+    // record; a finished lane delivered its whole stream.
+    let mut progressed = vec![0u64; lanes.len()];
+    let mut finished = vec![false; lanes.len()];
+    let mut steps = 0u64;
+    while !session.is_complete() {
+        for (t, lane) in lanes.iter_mut().enumerate() {
+            match lane.step(1) {
+                LaneStep::Progressed => progressed[t] += 1,
+                LaneStep::Finished => finished[t] = true,
+                LaneStep::Failed => panic!("lane {t} failed: {:?}", session.report()),
+                LaneStep::Gated | LaneStep::Idle => {}
+            }
+            let delivered: u64 = (0..streams.len())
+                .map(|i| match finished[i] {
+                    true => streams[i].len() as u64,
+                    false => progressed[i],
+                })
+                .sum();
+            assert_eq!(session.records(), delivered, "after step {steps}");
+            steps += 1;
+        }
+    }
+    let report = session.report().expect("complete").expect("clean drain");
+    let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
+    assert_eq!(report.records, total);
+    assert_eq!(report.fingerprint, live_fp);
 }
 
 // --- incremental decoder property tests ------------------------------------
