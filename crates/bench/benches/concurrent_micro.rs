@@ -264,7 +264,7 @@ fn bench_delta_vs_cas(c: &mut Criterion) {
         for threads in THREADS {
             for profile in PROFILES {
                 let streams: Vec<Vec<EventRecord>> = (0..threads as u16)
-                    .map(|t| stream(kind, t, MATRIX_RECORDS, profile))
+                    .map(|t| stream(t, MATRIX_RECORDS, profile))
                     .collect();
                 let mut group = c.benchmark_group(format!("delta_vs_cas/{kind}/{}", profile.name));
                 group.sample_size(10);

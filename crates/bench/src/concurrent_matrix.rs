@@ -15,14 +15,16 @@
 //! [`DeltaLifeguard::apply_delta`] and publishes every
 //! [`FLUSH_EVERY`] records — the arc-boundary cadence the threaded
 //! backend exhibits on real captures.
+//!
+//! MemCheck is the only analysis measured: it is the only one with a delta
+//! form, and `LifeguardKind::preferred_mode` reads its 16-worker switch-over
+//! off this matrix.
 
 use paralog_events::{
-    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Reg, Rid,
-    SyscallKind, ThreadId,
+    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, MemRef, Reg, Rid, ThreadId,
 };
 use paralog_lifeguards::{
-    ConcurrentLifeguard, DeltaLifeguard, HappensBeforeConcurrent, LifeguardKind, LockSetConcurrent,
-    MemCheckConcurrent, ReplayMode, TaintConcurrent,
+    ConcurrentLifeguard, DeltaLifeguard, LifeguardKind, MemCheckConcurrent, ReplayMode,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,14 +74,8 @@ pub const PROFILES: [Profile; 3] = [
     },
 ];
 
-/// The lifeguards with genuine delta-merge forms (AddrCheck's is a
-/// pass-through over the same CAS code, so there is nothing to compare).
-pub const KINDS: [LifeguardKind; 4] = [
-    LifeguardKind::TaintCheck,
-    LifeguardKind::MemCheck,
-    LifeguardKind::LockSet,
-    LifeguardKind::HappensBefore,
-];
+/// The lifeguards with a delta-merge form.
+pub const KINDS: [LifeguardKind; 1] = [LifeguardKind::MemCheck];
 
 /// A fresh concurrent form of `kind` for `threads` lanes.
 ///
@@ -88,10 +84,7 @@ pub const KINDS: [LifeguardKind; 4] = [
 /// Panics for kinds outside [`KINDS`].
 pub fn build_concurrent(kind: LifeguardKind, threads: usize) -> Box<dyn DeltaLifeguard> {
     match kind {
-        LifeguardKind::TaintCheck => Box::new(TaintConcurrent::new(threads)),
         LifeguardKind::MemCheck => Box::new(MemCheckConcurrent::new(threads)),
-        LifeguardKind::LockSet => Box::new(LockSetConcurrent::new(threads)),
-        LifeguardKind::HappensBefore => Box::new(HappensBeforeConcurrent::new(threads)),
         other => panic!("{other:?} has no delta-merge form to benchmark"),
     }
 }
@@ -107,104 +100,45 @@ fn zipf_cdf(theta: f64) -> Vec<f64> {
     cdf
 }
 
-/// Builds one thread's record stream for `kind` under `profile`.
+/// Builds one thread's MemCheck record stream under `profile`.
 ///
-/// LOCKSET streams open by acquiring a common lock so shared accesses are
-/// consistently protected: the interesting cost is the Eraser
-/// state-machine transitions and candidate-set refinement, not an
-/// unbounded violation flood. HAPPENSBEFORE streams open by acquiring a
-/// *per-thread* lock word and release it on a fixed cadence, so per-thread
-/// clocks keep advancing and epoch installs stay hot (a constant clock
-/// would collapse every access into the same-epoch no-op); shared words
-/// race once, poison, and thereafter exercise the absorbing-sentinel fast
-/// path — the REPORTED bit keeps the violation flood bounded at one per
-/// word. The byte-shadow analyses open with a
-/// metadata *source* over both regions — `read()` taint for TAINTCHECK,
-/// a malloc'd-undefined heap for MEMCHECK — so the replayed accesses move
+/// The stream opens with a malloc'd-undefined heap over both the shared
+/// region and the thread's private slab, so the replayed accesses move
 /// nonzero metadata. Without that, every shadow store writes clean zero,
 /// the CAS path never even materializes a chunk, and the "baseline" being
 /// compared against is a no-op. Accesses come in load/store pairs over
 /// one drawn address (read a location, write it back), the shape that
 /// actually propagates metadata through the register file.
-pub fn stream(kind: LifeguardKind, tid: u16, records: u64, profile: Profile) -> Vec<EventRecord> {
+pub fn stream(tid: u16, records: u64, profile: Profile) -> Vec<EventRecord> {
     let mut rng = StdRng::seed_from_u64(
         0xC0_FFEE ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(tid) + 1)),
     );
     let cdf = zipf_cdf(profile.theta);
     let total = *cdf.last().expect("non-empty");
     let slab = AddrRange::new(0x0100_0000 + u64::from(tid) * 0x1_0000, 0x8000);
-    let mut recs = Vec::with_capacity(records as usize + 1);
+    let mut recs = Vec::with_capacity(records as usize + 2);
     let mut rid = 0u64;
     let mut next_rid = || {
         rid += 1;
         Rid(rid)
     };
-    // HAPPENSBEFORE advances clocks through sync-space accesses (64-byte
-    // spaced lock words); each thread uses its own so replay stays
-    // deterministic without cross-stream arcs.
-    let own_lock = paralog_lifeguards::lockset::SYNC_SPACE_START + u64::from(tid) * 64;
-    match kind {
-        LifeguardKind::LockSet => {
-            recs.push(EventRecord::ca(
-                next_rid(),
-                CaRecord {
-                    what: HighLevelKind::Lock(LockId(0)),
-                    phase: CaPhase::End,
-                    range: None,
-                    issuer: ThreadId(tid),
-                    issuer_rid: Rid(1),
-                    seq: u64::MAX, // own-stream record: no cross-thread ordering
-                },
-            ));
-        }
-        LifeguardKind::HappensBefore => {
-            recs.push(EventRecord::instr(
-                next_rid(),
-                Instr::Rmw {
-                    mem: MemRef::new(own_lock, 8),
-                    reg: Reg(0),
-                },
-            ));
-        }
-        _ => {
-            // Metadata source: taint (TAINTCHECK) or malloc'd-undefined
-            // (MEMCHECK) over both the shared region and the private slab.
-            let what = if kind == LifeguardKind::TaintCheck {
-                HighLevelKind::Syscall(SyscallKind::ReadInput)
-            } else {
-                HighLevelKind::Malloc
-            };
-            for range in [AddrRange::new(SHARED_BASE, SHARED_WORDS * 8), slab] {
-                let rid = next_rid();
-                recs.push(EventRecord::ca(
-                    rid,
-                    CaRecord {
-                        what,
-                        phase: CaPhase::End,
-                        range: Some(range),
-                        issuer: ThreadId(tid),
-                        issuer_rid: rid,
-                        seq: u64::MAX, // own-stream record: no cross-thread ordering
-                    },
-                ));
-            }
-        }
+    for range in [AddrRange::new(SHARED_BASE, SHARED_WORDS * 8), slab] {
+        let rid = next_rid();
+        recs.push(EventRecord::ca(
+            rid,
+            CaRecord {
+                what: HighLevelKind::Malloc,
+                phase: CaPhase::End,
+                range: Some(range),
+                issuer: ThreadId(tid),
+                issuer_rid: rid,
+                seq: u64::MAX, // own-stream record: no cross-thread ordering
+            },
+        ));
     }
     let mut private_cursor = 0u64;
     let mut addr = slab.start;
     for i in 0..records {
-        // Clock-advance cadence: a release (sync store) every 61 records
-        // keeps HAPPENSBEFORE's epochs moving (see the stream docs).
-        if kind == LifeguardKind::HappensBefore && i % 61 == 0 {
-            recs.push(EventRecord::instr(
-                next_rid(),
-                Instr::Store {
-                    dst: MemRef::new(own_lock, 8),
-                    src: Reg(0),
-                },
-            ));
-            continue;
-        }
         let mem = if i % 2 == 0 {
             // Draw a fresh target and read it...
             addr = if rng.gen_bool(profile.shared_fraction) {
@@ -296,7 +230,7 @@ pub fn measure_cell(
     iters: usize,
 ) -> f64 {
     let streams: Vec<Vec<EventRecord>> = (0..threads as u16)
-        .map(|t| stream(kind, t, records_per_thread, profile))
+        .map(|t| stream(t, records_per_thread, profile))
         .collect();
     let total_records = (threads as u64 * records_per_thread) as f64;
     // One discarded warm-up round: the first replay after process start
@@ -327,7 +261,7 @@ pub fn measure_cell_pair(
     iters: usize,
 ) -> (f64, f64) {
     let streams: Vec<Vec<EventRecord>> = (0..threads as u16)
-        .map(|t| stream(kind, t, records_per_thread, profile))
+        .map(|t| stream(t, records_per_thread, profile))
         .collect();
     let total_records = (threads as u64 * records_per_thread) as f64;
     // One discarded warm-up round per mode before the scored window: the
@@ -471,19 +405,17 @@ mod tests {
     fn streams_are_deterministic() {
         // The warm-up round in `measure_cell_pair` is only a valid warm-up
         // (and `--check` only a valid diff against the committed baseline)
-        // if stream generation is a pure function of (kind, tid, records,
+        // if stream generation is a pure function of (tid, records,
         // profile): same inputs, bit-identical records, every call.
-        for kind in KINDS {
-            for profile in PROFILES {
-                for tid in [0u16, 3] {
-                    let a = stream(kind, tid, 257, profile);
-                    let b = stream(kind, tid, 257, profile);
-                    assert_eq!(
-                        a, b,
-                        "{kind:?}/{}/t{tid} streams diverged across calls",
-                        profile.name
-                    );
-                }
+        for profile in PROFILES {
+            for tid in [0u16, 3] {
+                let a = stream(tid, 257, profile);
+                let b = stream(tid, 257, profile);
+                assert_eq!(
+                    a, b,
+                    "{}/t{tid} streams diverged across calls",
+                    profile.name
+                );
             }
         }
     }
@@ -498,7 +430,7 @@ mod tests {
         for kind in KINDS {
             for profile in PROFILES {
                 let streams: Vec<Vec<EventRecord>> =
-                    (0..4u16).map(|t| stream(kind, t, 192, profile)).collect();
+                    (0..4u16).map(|t| stream(t, 192, profile)).collect();
                 let longest = streams.iter().map(Vec::len).max().unwrap();
                 let cas = build_concurrent(kind, 4);
                 let delta = build_concurrent(kind, 4);

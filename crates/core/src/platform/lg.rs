@@ -649,23 +649,12 @@ fn deliver_op(
         }
     }
     lgt.delivered_ops += 1;
-    cycles + charge_ctx_inner(lgt, mem, cost, rid, ctx, violations)
+    cycles + charge_ctx(lgt, mem, cost, rid, ctx, violations)
 }
 
 /// Charges a handler context's side effects: metadata cache traffic,
 /// slow-path synchronization, and collects violations.
 fn charge_ctx(
-    lgt: &mut LgThread,
-    mem: &mut MemorySystem,
-    cost: &CostModel,
-    rid: Rid,
-    ctx: HandlerCtx,
-    violations: &mut Vec<Violation>,
-) -> u64 {
-    charge_ctx_inner(lgt, mem, cost, rid, ctx, violations)
-}
-
-fn charge_ctx_inner(
     lgt: &mut LgThread,
     mem: &mut MemorySystem,
     cost: &CostModel,

@@ -434,6 +434,7 @@ impl CoopSession {
                 eof: false,
                 head_produced: false,
                 parked: false,
+                unwound: false,
                 done: false,
             })
             .collect();
@@ -538,6 +539,9 @@ pub struct CoopLane {
     head_produced: bool,
     /// Whether this lane is counted in the session's `gated_lanes`.
     parked: bool,
+    /// Whether a step unwound: the lifeguard's state for this lane is
+    /// suspect, so [`finish`](Self::finish) skips its hooks.
+    unwound: bool,
     done: bool,
 }
 
@@ -572,7 +576,43 @@ impl CoopLane {
     /// delivers at most `budget` records. Returns what happened so the
     /// scheduler can prioritize; once it returns [`LaneStep::Finished`] or
     /// [`LaneStep::Failed`] the lane is inert.
+    ///
+    /// A panic inside the step (a lifeguard handler, a stream reader) is
+    /// contained here, once per step: it fails the session with
+    /// [`SessionError::LanePanic`] naming the lane's thread, the head rid
+    /// and the panic message, and the lane finishes `Failed`. Neither
+    /// scheduler's thread unwinds, and peers gated on this lane fold on
+    /// their next step instead of waiting forever.
     pub fn step(&mut self, budget: usize) -> LaneStep {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.advance(budget))) {
+            Ok(step) => step,
+            Err(payload) => self.unwound(payload.as_ref()),
+        }
+    }
+
+    /// Fails the session after [`advance`](Self::advance) unwound, and
+    /// finishes the lane.
+    fn unwound(&mut self, payload: &(dyn std::any::Any + Send)) -> LaneStep {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let at = match self.batch.get(self.head) {
+            Some(rec) => format!("at rid {}", rec.rid),
+            None => "between batches".to_string(),
+        };
+        self.shared.fail(SessionError::LanePanic(format!(
+            "thread {} panicked {at}: {message}",
+            self.tid.0
+        )));
+        self.unwound = true;
+        self.finish();
+        LaneStep::Failed
+    }
+
+    /// The body of [`step`](Self::step).
+    fn advance(&mut self, budget: usize) -> LaneStep {
         if self.done {
             return LaneStep::Finished;
         }
@@ -841,17 +881,24 @@ impl CoopLane {
 
     /// Terminal transition, runs exactly once: stops gating reclamation
     /// quiescence and, as the last lane out, composes the session report.
+    ///
+    /// `done` is set only once the lifeguard hooks returned, so a hook
+    /// that panics unwinds into [`step`](Self::step), which finishes the
+    /// lane again without them.
     fn finish(&mut self) {
         if self.done {
             return;
         }
-        self.done = true;
         self.fold_tally();
         self.unpark();
-        // However the lane exits (drained, failed, aborted), its buffered
-        // window lands before the terminal quiescence transition.
-        self.flush_window();
-        self.shared.form.conc().stream_done(self.tid);
+        if !self.unwound {
+            // However the lane exits (drained, failed, aborted), its
+            // buffered window lands before the terminal quiescence
+            // transition.
+            self.flush_window();
+            self.shared.form.conc().stream_done(self.tid);
+        }
+        self.done = true;
         self.shared.versions.advance_epoch(self.tid);
         let finished = self.shared.finished_lanes.fetch_add(1, Ordering::SeqCst) + 1;
         if finished == self.shared.lanes {

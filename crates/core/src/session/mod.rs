@@ -82,6 +82,9 @@ pub enum SessionError {
     /// (corrupt wire data, a transport truncated mid-record, or a failing
     /// reader).
     MalformedStream(String),
+    /// A lane's step panicked (typically in a lifeguard handler); the
+    /// detail names the lane's thread, the head rid and the panic message.
+    LanePanic(String),
 }
 
 impl fmt::Display for SessionError {
@@ -99,6 +102,7 @@ impl fmt::Display for SessionError {
             SessionError::MalformedStream(detail) => {
                 write!(f, "malformed event stream: {detail}")
             }
+            SessionError::LanePanic(detail) => write!(f, "lane panicked: {detail}"),
         }
     }
 }

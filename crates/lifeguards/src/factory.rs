@@ -189,11 +189,12 @@ pub trait LifeguardFactory: fmt::Debug + Send + Sync {
 
     /// The delta-merge replay form, for backends running in
     /// [`ReplayMode::DeltaMerge`]: workers buffer metadata writes in private
-    /// [`ShadowDelta`](paralog_meta::ShadowDelta) /
-    /// [`WordDelta`](paralog_meta::WordDelta) overlays and publish only at
-    /// dependence-arc and sync boundaries. Returns `None` by default — an
-    /// analysis without a delta form replays CAS-per-access. Every bundled
-    /// analysis overrides this.
+    /// [`ShadowDelta`](paralog_meta::ShadowDelta) overlays and publish only
+    /// at dependence-arc and sync boundaries. Returns `None` by default — an
+    /// analysis without a delta form replays CAS-per-access under
+    /// [`preferred_mode`](Self::preferred_mode), and a session that asks for
+    /// delta-merge explicitly is refused. Of the bundled analyses only
+    /// MemCheck overrides this: it is the one whose delta form Auto selects.
     fn concurrent_delta(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn DeltaLifeguard>> {
         let _ = (heap, threads);
         None
@@ -333,17 +334,18 @@ impl LifeguardFactory for LifeguardKind {
         }
     }
 
-    fn concurrent_delta(&self, heap: AddrRange, threads: usize) -> Option<Box<dyn DeltaLifeguard>> {
-        // The same concurrent types implement the delta form: they carry
-        // per-worker overlays alongside their shared structures, so either
-        // mode can drive the same instance (delta workers read through their
-        // overlay, CAS workers never touch it).
+    fn concurrent_delta(
+        &self,
+        _heap: AddrRange,
+        threads: usize,
+    ) -> Option<Box<dyn DeltaLifeguard>> {
+        // MemCheck's concurrent type carries per-worker overlays alongside
+        // its shared shadow, so either mode can drive the same instance. The
+        // other four lost to CAS-per-access at every measured point (see
+        // `preferred_mode`) and have no delta form.
         match self {
-            LifeguardKind::TaintCheck => Some(Box::new(TaintConcurrent::new(threads))),
-            LifeguardKind::AddrCheck => Some(Box::new(AddrCheckConcurrent::new(heap))),
             LifeguardKind::MemCheck => Some(Box::new(MemCheckConcurrent::new(threads))),
-            LifeguardKind::LockSet => Some(Box::new(LockSetConcurrent::new(threads))),
-            LifeguardKind::HappensBefore => Some(Box::new(HappensBeforeConcurrent::new(threads))),
+            _ => None,
         }
     }
 
@@ -358,7 +360,8 @@ impl LifeguardFactory for LifeguardKind {
         // buffer whole granule words per access and lose outright (LockSet
         // 1.50–1.82, HappensBefore 1.54–1.66), and AddrCheck's replay
         // writes metadata only on rare CA events — nothing to buffer. All
-        // four stay CAS-per-access at every measured point.
+        // four stay CAS-per-access at every measured point, and only
+        // MemCheck keeps a delta form.
         match self {
             LifeguardKind::MemCheck if threads >= 16 => ReplayMode::DeltaMerge,
             _ => ReplayMode::CasPerAccess,
@@ -592,10 +595,9 @@ pub trait ConcurrentLifeguard: Send + Sync + fmt::Debug {
 ///
 /// Within one unflushed window the owner is the only writer of its buffered
 /// locations — conflicting cross-thread writes are arc-ordered, and the arc
-/// forces a flush first — so last-writer-wins buffering composes with each
-/// analysis' merge operator (taint OR-join, MemCheck's inverted-lattice
-/// join, LockSet's interned mask intersection) exactly as eager publication
-/// would.
+/// forces a flush first — so last-writer-wins buffering composes with the
+/// analysis' merge operator (MemCheck's inverted-lattice join) exactly as
+/// eager publication would.
 pub trait DeltaLifeguard: ConcurrentLifeguard {
     /// Applies one record of thread `tid`'s stream against the private
     /// overlay (same semantics as
@@ -777,17 +779,25 @@ mod tests {
     }
 
     #[test]
-    fn every_builtin_offers_a_delta_replay_form() {
+    fn only_memcheck_offers_a_delta_replay_form() {
+        let delta = LifeguardKind::MemCheck
+            .concurrent_delta(HEAP, 2)
+            .expect("MemCheck delta form");
+        assert!(delta.violations().is_empty());
+        // Flushing an empty overlay is a no-op.
+        delta.flush_delta(ThreadId(0));
+        assert_eq!(
+            delta.fingerprint(),
+            LifeguardKind::MemCheck
+                .concurrent(HEAP, 2)
+                .expect("cas form")
+                .fingerprint(),
+            "fresh forms agree"
+        );
         for kind in LifeguardKind::ALL {
-            let delta = kind.concurrent_delta(HEAP, 2).expect("delta form");
-            assert!(delta.violations().is_empty());
-            // Flushing an empty overlay is a no-op.
-            delta.flush_delta(ThreadId(0));
-            assert_eq!(
-                delta.fingerprint(),
-                kind.concurrent(HEAP, 2).expect("cas form").fingerprint(),
-                "{kind}: fresh forms agree"
-            );
+            if kind != LifeguardKind::MemCheck {
+                assert!(kind.concurrent_delta(HEAP, 2).is_none(), "{kind}");
+            }
         }
         // Defaults come from the measured matrix: only MemCheck's delta
         // form wins, and only from 16 workers up; everything else stays on

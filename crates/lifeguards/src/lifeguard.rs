@@ -162,12 +162,13 @@ pub fn join_atomic_shadow(
 }
 
 /// How a concurrent byte-shadow analysis touches its metadata — the seam
-/// that lets one propagation implementation serve both replay modes. The
-/// CAS-per-access form goes straight at the shared [`AtomicShadow`]
-/// ([`SharedAccess`]); the delta-merge form routes writes into the worker's
-/// private [`ShadowDelta`] and reads overlay-first ([`DeltaAccess`]).
-/// Keeping the analysis logic mode-blind is what makes the two modes
-/// bit-identical by construction.
+/// that lets MemCheck's one propagation implementation serve both replay
+/// modes. The CAS-per-access form goes straight at the shared
+/// [`AtomicShadow`] ([`SharedAccess`], TaintCheck's only form); the
+/// delta-merge form routes writes into the worker's private
+/// [`ShadowDelta`] and reads overlay-first ([`DeltaAccess`]). Keeping the
+/// analysis logic mode-blind is what makes the two modes bit-identical by
+/// construction.
 pub(crate) trait ShadowAccess {
     /// Joins (bitwise-ORs) the metadata of `range`, honoring a §5.5
     /// versioned snapshot (snapshot bytes win over everything).

@@ -4,23 +4,19 @@
 //! access; under heavy inter-thread sharing that is cache-line ping-pong on
 //! the shared metadata. Delta-merge replay instead buffers a worker's
 //! metadata writes in a *private* overlay and publishes them into the shared
-//! [`AtomicShadow`]/[`PackedWordTable`](crate::PackedWordTable) only at the
-//! points where the §5.2 ordering machinery already forces synchronization
+//! [`AtomicShadow`] only at the points where the §5.2 ordering machinery already forces synchronization
 //! (dependence-arc waits, ConflictAlert gates, version produce points,
 //! batch boundaries). Reads that cross an unmet arc consult merged state by
 //! construction, so the overlay is invisible to every other thread's
 //! ordered view.
 //!
-//! Two overlay shapes live here:
+//! The overlay is [`ShadowDelta`]: a sparse, chunk-indexed byte overlay
+//! over an [`AtomicShadow`], tracking exactly which bytes the owner wrote (a
+//! written bitmask per chunk) so unwritten bytes still read through to the
+//! shared shadow. Its one user is MemCheck, the only bundled analysis whose
+//! delta form measured faster than CAS-per-access.
 //!
-//! * [`ShadowDelta`] — a sparse, chunk-indexed byte overlay over an
-//!   [`AtomicShadow`], tracking exactly which bytes the owner wrote (a
-//!   written bitmask per chunk) so unwritten bytes still read through to
-//!   the shared shadow;
-//! * [`WordDelta`] — a sorted `key → V` map for word-granular analyses
-//!   (LockSet) whose per-location delta state is analysis-defined.
-//!
-//! Both are single-owner types: the replay worker that owns a delta is the
+//! It is a single-owner type: the replay worker that owns a delta is the
 //! only mutator, so no interior atomics are needed. Publishing is the
 //! owner's job (see [`ShadowDelta::flush_into`]).
 
@@ -537,132 +533,6 @@ impl ShadowDelta {
     }
 }
 
-/// A private word-granular delta map for analyses whose per-location state
-/// does not fit a shadow byte (LockSet). The value type is analysis-defined;
-/// this is just the single-owner buffer with the same accumulate-then-drain
-/// shape as [`ShadowDelta`].
-///
-/// Like the byte overlay, lookups sit on the per-access hot path, so the
-/// backing store is an open-addressed Fibonacci-hashed table with linear
-/// probing (entries are never removed between drains, so a probe can stop
-/// at the first empty slot). The ascending-key drain contract is preserved
-/// by sorting at drain time — ordering is only needed once per window, not
-/// once per access.
-#[derive(Debug)]
-pub struct WordDelta<V> {
-    /// Power-of-two slot table (empty until the first insert). Slots are
-    /// `None` or a live `(key, state)` pair; there are no tombstones.
-    slots: Vec<Option<(u64, V)>>,
-    len: usize,
-}
-
-impl<V> Default for WordDelta<V> {
-    fn default() -> Self {
-        WordDelta {
-            slots: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<V> WordDelta<V> {
-    /// An empty delta.
-    pub fn new() -> Self {
-        WordDelta::default()
-    }
-
-    /// Whether no keys are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Pending key count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Home slot for `key` (Fibonacci hashing: multiply and keep the high
-    /// bits, which a power-of-two table indexes directly).
-    #[inline]
-    fn bucket(slots: usize, key: u64) -> usize {
-        debug_assert!(slots.is_power_of_two());
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - slots.trailing_zeros())) as usize
-    }
-
-    /// The slot holding `key`, or the empty slot where it would go.
-    #[inline]
-    fn probe(&self, key: u64) -> usize {
-        let n = self.slots.len();
-        let mut i = Self::bucket(n, key);
-        loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k != key => i = (i + 1) & (n - 1),
-                _ => return i,
-            }
-        }
-    }
-
-    /// Grows (or first allocates) the table, rehashing live entries.
-    #[cold]
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(64);
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || None);
-        for entry in old.into_iter().flatten() {
-            let i = self.probe(entry.0);
-            self.slots[i] = Some(entry);
-        }
-    }
-
-    /// The pending state for `key`, if any.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        if self.len == 0 {
-            return None;
-        }
-        self.slots[self.probe(key)].as_ref().map(|(_, v)| v)
-    }
-
-    /// Mutable pending state for `key`, if any.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        if self.len == 0 {
-            return None;
-        }
-        let i = self.probe(key);
-        self.slots[i].as_mut().map(|(_, v)| v)
-    }
-
-    /// The pending state for `key`, created via `init` on first touch.
-    pub fn get_or_insert_with(&mut self, key: u64, init: impl FnOnce() -> V) -> &mut V {
-        // Keep load below 7/8 so probe chains stay short.
-        if self.slots.len() < (self.len + 1) * 8 / 7 + 1 {
-            self.grow();
-        }
-        let i = self.probe(key);
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            *slot = Some((key, init()));
-            self.len += 1;
-        }
-        slot.as_mut().map(|(_, v)| v).expect("slot just filled")
-    }
-
-    /// Drains every pending `(key, state)` pair in ascending key order.
-    /// The slot table keeps its capacity for the next window.
-    pub fn drain(&mut self) -> impl Iterator<Item = (u64, V)> + '_ {
-        let mut pairs: Vec<(u64, V)> = self.slots.iter_mut().filter_map(Option::take).collect();
-        pairs.sort_unstable_by_key(|(k, _)| *k);
-        self.len = 0;
-        pairs.into_iter()
-    }
-
-    /// Drops every pending entry.
-    pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.len = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,20 +626,5 @@ mod tests {
         for (i, w) in want.iter().enumerate() {
             assert_eq!(shared.join_range(0x3000 + i as u64, 1), *w);
         }
-    }
-
-    #[test]
-    fn word_delta_accumulates_and_drains_sorted() {
-        let mut d: WordDelta<u32> = WordDelta::new();
-        assert!(d.is_empty());
-        *d.get_or_insert_with(9, || 0) += 1;
-        *d.get_or_insert_with(4, || 10) += 1;
-        *d.get_or_insert_with(9, || 0) += 1;
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.get(9), Some(&2));
-        assert_eq!(d.get_mut(4).map(|v| *v), Some(11));
-        let drained: Vec<_> = d.drain().collect();
-        assert_eq!(drained, vec![(4, 11), (9, 2)]);
-        assert!(d.is_empty());
     }
 }

@@ -13,9 +13,9 @@
 //!   per key (the packed fast path), plus a reference-counted
 //!   [`WideInterner`] for per-location state that outgrows a single word
 //!   (LockSet's candidate masks, HappensBefore's read vector clocks);
-//! * [`ShadowDelta`] / [`WordDelta`] — private per-worker write overlays
-//!   for delta-merge replay: buffer locally, publish into the shared
-//!   structures only at dependence-arc and sync boundaries;
+//! * [`ShadowDelta`] — the private per-worker byte overlay for delta-merge
+//!   replay (MemCheck's): buffer locally, publish into the shared shadow
+//!   only at dependence-arc and sync boundaries;
 //! * [`VersionTable`] — the produce/consume table backing TSO versioned
 //!   metadata (§5.5);
 //! * [`Fingerprint`] — the order-insensitive metadata fingerprint
@@ -43,7 +43,7 @@ pub mod table;
 pub mod versions;
 
 pub use atomic::AtomicShadow;
-pub use delta::{LaneCell, ShadowDelta, WordDelta};
+pub use delta::{LaneCell, ShadowDelta};
 pub use fingerprint::Fingerprint;
 pub use shadow::{ShadowMemory, CHUNK_APP_BYTES, META_BASE};
 pub use table::{MetaWord, PackedWordTable, WideInterner, WordTable, MAX_WIDE_IDS};

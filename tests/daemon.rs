@@ -254,14 +254,15 @@ fn two_concurrent_sessions_match_in_process_replay() {
 fn explicit_delta_mode_attach_matches_in_process_replay() {
     // A producer that *asks* for delta-merge gets it (STATUS says so) and
     // the fingerprint still matches the in-process CAS-per-access run —
-    // cross-mode parity over the daemon wire.
-    let (w, encoded, fp, viols) = capture(Benchmark::Barnes, 4, LifeguardKind::TaintCheck);
+    // cross-mode parity over the daemon wire. MemCheck is the analysis
+    // with a delta form.
+    let (w, encoded, fp, viols) = capture(Benchmark::Barnes, 4, LifeguardKind::MemCheck);
     let daemon = spawn_daemon("delta");
     let mut producer = Producer::attach(
         daemon.data_socket(),
         &AttachRequest {
             mode: paralog::core::BackendMode::DeltaMerge,
-            ..attach_request("barnes-delta", LifeguardKind::TaintCheck, 4, w.heap)
+            ..attach_request("barnes-delta", LifeguardKind::MemCheck, 4, w.heap)
         },
     )
     .expect("delta attach accepted");
@@ -668,6 +669,234 @@ fn session_failed_over_the_buffer_cap_drops_its_producer() {
         &attach_request("next", LifeguardKind::TaintCheck, 2, heap),
     )
     .expect("attaches after the capped session");
+    producer.send_capture(&encoded, 64).unwrap();
+    let status = await_done(&daemon, producer.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(field(&status, "records").as_deref(), Some("200"));
+    daemon.shutdown();
+}
+
+/// Only MemCheck has a delta-merge form. For each of the other four
+/// bundled kinds, an explicit `DeltaMerge` is `SessionError::Unsupported`
+/// on coop lanes and on `ThreadedBackend`, and a daemon `ATTACH ...
+/// mode=delta` is refused with that reason — after which the daemon still
+/// serves a normal session.
+#[test]
+fn explicit_delta_on_a_kind_without_a_delta_form_is_refused() {
+    use paralog::core::{
+        BackendMode, BufferedStream, CoopSession, RecordStream, SessionError, ThreadedBackend,
+    };
+
+    let (heap, _) = independent_capture(2, 1);
+    for kind in [
+        LifeguardKind::TaintCheck,
+        LifeguardKind::AddrCheck,
+        LifeguardKind::LockSet,
+        LifeguardKind::HappensBefore,
+    ] {
+        let streams: Vec<Box<dyn RecordStream>> = (0..2)
+            .map(|_| Box::new(BufferedStream::new(Vec::new())) as Box<dyn RecordStream>)
+            .collect();
+        let err = CoopSession::start_with_mode(&kind, heap, streams, None, BackendMode::DeltaMerge)
+            .expect_err("coop lanes refuse an explicit delta mode");
+        assert!(
+            matches!(err, SessionError::Unsupported(_)),
+            "{kind}: wrong coop error: {err:?}"
+        );
+
+        let err = MonitorSession::builder()
+            .source(ReplaySource::new(vec![Vec::new(); 2], heap))
+            .lifeguard(kind)
+            .backend(ThreadedBackend)
+            .backend_mode(BackendMode::DeltaMerge)
+            .build()
+            .and_then(|s| s.run())
+            .expect_err("the threaded backend refuses an explicit delta mode");
+        assert!(
+            matches!(err, SessionError::Unsupported(_)),
+            "{kind}: wrong threaded error: {err:?}"
+        );
+    }
+
+    let daemon = spawn_daemon("nodelta");
+    let err = Producer::attach(
+        daemon.data_socket(),
+        &AttachRequest {
+            mode: BackendMode::DeltaMerge,
+            ..attach_request("taint-delta", LifeguardKind::TaintCheck, 2, heap)
+        },
+    )
+    .expect_err("delta attach on TaintCheck must be refused");
+    assert!(
+        err.to_string()
+            .contains("unsupported: lifeguard has no delta-merge replay form"),
+        "{err}"
+    );
+
+    // The daemon keeps serving: the same request in auto mode completes.
+    let (heap, encoded) = independent_capture(2, 50);
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("taint-auto", LifeguardKind::TaintCheck, 2, heap),
+    )
+    .expect("daemon serves after the refusal");
+    producer.send_capture(&encoded, 64).unwrap();
+    let status = await_done(&daemon, producer.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("done"));
+    assert_eq!(field(&status, "mode").as_deref(), Some("cas"));
+    assert_eq!(field(&status, "records").as_deref(), Some("100"));
+    daemon.shutdown();
+}
+
+/// A lifeguard whose concurrent form panics on the record with rid
+/// `PANIC_RID` of thread 1's stream (MemCheck's sequential family keeps
+/// the factory buildable).
+#[derive(Debug)]
+struct PanicAt;
+
+const PANIC_RID: u64 = 40;
+
+#[derive(Debug)]
+struct PanickingConcurrent;
+
+impl paralog::lifeguards::ConcurrentLifeguard for PanickingConcurrent {
+    fn apply(
+        &self,
+        tid: paralog::events::ThreadId,
+        rec: &EventRecord,
+        _versioned: Option<&paralog::lifeguards::VersionedMeta>,
+    ) {
+        if tid.0 == 1 && rec.rid == Rid(PANIC_RID) {
+            panic!("injected lifeguard fault");
+        }
+    }
+    fn fingerprint(&self) -> u64 {
+        0
+    }
+    fn violations(&self) -> Vec<Violation> {
+        Vec::new()
+    }
+}
+
+impl paralog::lifeguards::LifeguardFactory for PanicAt {
+    fn name(&self) -> &str {
+        "PanicAt"
+    }
+    fn build(&self, heap: AddrRange) -> paralog::lifeguards::LifeguardFamily {
+        LifeguardKind::MemCheck.build(heap)
+    }
+    fn concurrent(
+        &self,
+        _heap: AddrRange,
+        _threads: usize,
+    ) -> Option<Box<dyn paralog::lifeguards::ConcurrentLifeguard>> {
+        Some(Box::new(PanickingConcurrent))
+    }
+}
+
+/// A panic in a lifeguard's `apply` fails its session on every scheduler —
+/// `ThreadedBackend`, a hand-rolled step loop, and the daemon pool — with
+/// an error naming the lane's thread, the rid and the panic message. No
+/// scheduler thread dies, peers gated on the panicked lane do not wait
+/// forever, and the daemon pool goes on to run a later session.
+#[test]
+fn panicking_lifeguard_fails_its_session_not_the_scheduler() {
+    use paralog::core::{
+        BufferedStream, CoopSession, LaneStep, RecordStream, SessionError, ThreadedBackend,
+    };
+    use paralog::events::{ArcKind, DependenceArc, ThreadId};
+
+    // Thread 0's second half waits on thread 1 getting past the panic
+    // point: without containment it would stay gated for good.
+    let (heap, _) = independent_capture(2, 1);
+    let streams = || {
+        let mut t0: Vec<EventRecord> = (1..=100u64)
+            .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+            .collect();
+        t0[50]
+            .arcs
+            .push(DependenceArc::new(ThreadId(1), Rid(90), ArcKind::Sync));
+        let t1: Vec<EventRecord> = (1..=100u64)
+            .map(|i| EventRecord::instr(Rid(i), Instr::Nop))
+            .collect();
+        vec![t0, t1]
+    };
+    let expect_named = |err: &SessionError| {
+        let SessionError::LanePanic(detail) = err else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(
+            detail,
+            &format!("thread 1 panicked at rid #{PANIC_RID}: injected lifeguard fault")
+        );
+    };
+
+    // ThreadedBackend: one OS thread per lane, the run fails promptly.
+    let started = Instant::now();
+    let err = MonitorSession::builder()
+        .source(ReplaySource::new(streams(), heap))
+        .lifeguard_factory(PanicAt)
+        .backend(ThreadedBackend)
+        .build()
+        .expect("session builds")
+        .run()
+        .expect_err("a panicking lifeguard fails the run");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "threaded failure took {:?}",
+        started.elapsed()
+    );
+    expect_named(&err);
+
+    // A single-thread step loop: every lane ends Failed.
+    let boxed: Vec<Box<dyn RecordStream>> = streams()
+        .into_iter()
+        .map(|s| Box::new(BufferedStream::new(s)) as Box<dyn RecordStream>)
+        .collect();
+    let (session, mut lanes) = CoopSession::start(&PanicAt, heap, boxed, None).unwrap();
+    // Each lane's first terminal step (a scheduler drops a lane there).
+    let mut ended: Vec<Option<LaneStep>> = vec![None; lanes.len()];
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !session.is_complete() {
+        assert!(Instant::now() < deadline, "step loop never completed");
+        for (lane, ended) in lanes.iter_mut().zip(&mut ended) {
+            if ended.is_none() {
+                let step = lane.step(16);
+                if matches!(step, LaneStep::Finished | LaneStep::Failed) {
+                    *ended = Some(step);
+                }
+            }
+        }
+    }
+    assert_eq!(ended, vec![Some(LaneStep::Failed); 2]);
+    expect_named(&session.report().expect("complete").unwrap_err());
+
+    // The daemon pool: the session fails, the pool keeps serving.
+    let mut config = DaemonConfig::new(sock_path("pnd"), sock_path("pnc"));
+    config.workers = 2;
+    config.registry.register(PanicAt);
+    let daemon = Daemon::spawn(config).expect("daemon spawns");
+    let encoded: Vec<Vec<u8>> = streams().iter().map(|s| encode(s)).collect();
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &AttachRequest {
+            lifeguard: "PanicAt".into(),
+            ..attach_request("panics", LifeguardKind::MemCheck, 2, heap)
+        },
+    )
+    .expect("attaches");
+    producer.send_capture(&encoded, 64).unwrap();
+    let status = await_done(&daemon, producer.session_id());
+    assert_eq!(field(&status, "state").as_deref(), Some("failed"));
+    let error = field(&status, "error").expect("error line");
+    assert!(error.contains("injected lifeguard fault"), "{error}");
+
+    let (heap, encoded) = independent_capture(2, 100);
+    let mut producer = Producer::attach(
+        daemon.data_socket(),
+        &attach_request("after", LifeguardKind::MemCheck, 2, heap),
+    )
+    .expect("attaches after the panicked session");
     producer.send_capture(&encoded, 64).unwrap();
     let status = await_done(&daemon, producer.session_id());
     assert_eq!(field(&status, "state").as_deref(), Some("done"));

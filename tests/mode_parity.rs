@@ -5,12 +5,11 @@
 //! metadata writes in private overlays and publishes them only at
 //! dependence-arc and sync boundaries. The contract is that this is purely
 //! a *publication-cadence* change: fingerprints and violations must come
-//! out **bit-identical** to CAS-per-access replay. This suite pins that
-//! contract down:
+//! out **bit-identical** to CAS-per-access replay. MemCheck is the only
+//! bundled analysis with a delta form, so every row here is MemCheck's:
 //!
-//! * every bundled lifeguard, replaying SC captures on `ThreadedBackend`
-//!   in both modes — from the live capture, the raw record streams, and
-//!   the codec wire form;
+//! * SC captures replayed on `ThreadedBackend` in both modes — from the
+//!   live capture, the raw record streams, and the codec wire form;
 //! * §5.5 TSO captures (versioned metadata flowing through produce/consume
 //!   points) through both modes;
 //! * the cooperative (`CoopSession`) lane state machine in both modes;
@@ -27,8 +26,7 @@ use paralog::core::{
 };
 use paralog::events::codec::encode;
 use paralog::events::{
-    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, LockId, MemRef, Op, Reg, Rid,
-    SyscallKind, ThreadId,
+    AddrRange, CaPhase, CaRecord, EventRecord, HighLevelKind, Instr, MemRef, Op, Reg, Rid, ThreadId,
 };
 use paralog::lifeguards::{
     ConcurrentLifeguard, DeltaLifeguard, LifeguardFactory, LifeguardFamily, LifeguardKind,
@@ -89,75 +87,67 @@ fn threaded(
 // SC captures: threaded backend, both modes, raw and wire form
 // ---------------------------------------------------------------------------
 
-/// All five bundled lifeguards replay SC captures in delta-merge mode with
-/// fingerprints and violations identical to CAS-per-access and to the
-/// deterministic backend — from the raw capture and from the codec wire
-/// form.
+/// MemCheck replays SC captures in delta-merge mode with fingerprints and
+/// violations identical to CAS-per-access and to the deterministic backend
+/// — from the raw capture and from the codec wire form.
 #[test]
 fn sc_captures_replay_identically_across_modes() {
-    for (kind, bench) in [
-        (LifeguardKind::TaintCheck, Benchmark::Swaptions),
-        (LifeguardKind::AddrCheck, Benchmark::Swaptions),
-        (LifeguardKind::MemCheck, Benchmark::Fluidanimate),
-        (LifeguardKind::LockSet, Benchmark::Fluidanimate),
-        (LifeguardKind::HappensBefore, Benchmark::Fluidanimate),
-    ] {
-        let w = workload(bench, 4);
-        let (streams, live_fp) = capture(kind, &w, false);
+    let (kind, bench) = (LifeguardKind::MemCheck, Benchmark::Fluidanimate);
+    let w = workload(bench, 4);
+    let (streams, live_fp) = capture(kind, &w, false);
 
-        let det = MonitorSession::builder()
-            .source(ReplaySource::new(streams.clone(), w.heap))
-            .lifeguard(kind)
-            .backend(DeterministicBackend)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap()
-            .metrics;
-        assert_eq!(
-            det.fingerprint, live_fp,
-            "{kind}/{bench}: ingestion diverged from the live run"
-        );
+    let det = MonitorSession::builder()
+        .source(ReplaySource::new(streams.clone(), w.heap))
+        .lifeguard(kind)
+        .backend(DeterministicBackend)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics;
+    assert_eq!(
+        det.fingerprint, live_fp,
+        "{bench}: ingestion diverged from the live run"
+    );
 
-        let cas = threaded(kind, streams.clone(), w.heap, BackendMode::CasPerAccess);
-        let delta = threaded(kind, streams.clone(), w.heap, BackendMode::DeltaMerge);
-        assert_eq!(
-            delta.fingerprint, cas.fingerprint,
-            "{kind}/{bench}: modes diverged on final metadata"
-        );
-        assert_eq!(
-            cas.fingerprint, det.fingerprint,
-            "{kind}/{bench}: threaded replay diverged from deterministic"
-        );
-        assert_eq!(
-            violation_keys(&delta.violations),
-            violation_keys(&cas.violations),
-            "{kind}/{bench}: modes diverged on violations"
-        );
+    let cas = threaded(kind, streams.clone(), w.heap, BackendMode::CasPerAccess);
+    let delta = threaded(kind, streams.clone(), w.heap, BackendMode::DeltaMerge);
+    assert_eq!(
+        delta.fingerprint, cas.fingerprint,
+        "{bench}: modes diverged on final metadata"
+    );
+    assert_eq!(
+        cas.fingerprint, det.fingerprint,
+        "{bench}: threaded replay diverged from deterministic"
+    );
+    assert_eq!(
+        violation_keys(&delta.violations),
+        violation_keys(&cas.violations),
+        "{bench}: modes diverged on violations"
+    );
 
-        // Delta-merge over the codec wire form, streamed in small chunks.
-        let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
-        let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(256);
-        let wire = MonitorSession::builder()
-            .source(src)
-            .lifeguard(kind)
-            .backend(ThreadedBackend)
-            .backend_mode(BackendMode::DeltaMerge)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap()
-            .metrics;
-        assert_eq!(
-            wire.fingerprint, det.fingerprint,
-            "{kind}/{bench}: codec-decoded delta-merge replay diverged"
-        );
-        assert_eq!(
-            violation_keys(&wire.violations),
-            violation_keys(&det.violations),
-            "{kind}/{bench}: codec-decoded violations diverged"
-        );
-    }
+    // Delta-merge over the codec wire form, streamed in small chunks.
+    let encoded: Vec<Vec<u8>> = streams.iter().map(|s| encode(s)).collect();
+    let src = StreamingReplaySource::from_encoded(encoded, w.heap).with_chunk_bytes(256);
+    let wire = MonitorSession::builder()
+        .source(src)
+        .lifeguard(kind)
+        .backend(ThreadedBackend)
+        .backend_mode(BackendMode::DeltaMerge)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
+        .metrics;
+    assert_eq!(
+        wire.fingerprint, det.fingerprint,
+        "{bench}: codec-decoded delta-merge replay diverged"
+    );
+    assert_eq!(
+        violation_keys(&wire.violations),
+        violation_keys(&det.violations),
+        "{bench}: codec-decoded violations diverged"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -256,40 +246,31 @@ fn tso_captures_replay_identically_across_modes() {
 /// check rather than inheriting `ThreadedBackend`'s).
 #[test]
 fn coop_lanes_agree_across_modes() {
-    for (kind, bench) in [
-        (LifeguardKind::TaintCheck, Benchmark::Swaptions),
-        (LifeguardKind::LockSet, Benchmark::Fluidanimate),
-        (LifeguardKind::HappensBefore, Benchmark::Fluidanimate),
-    ] {
-        let w = workload(bench, 4);
-        let (streams, live_fp) = capture(kind, &w, false);
-        let mut fps = Vec::new();
-        let mut keys = Vec::new();
-        for mode in [BackendMode::CasPerAccess, BackendMode::DeltaMerge] {
-            let boxed: Vec<Box<dyn RecordStream>> = streams
-                .iter()
-                .cloned()
-                .map(|s| Box::new(paralog::core::BufferedStream::new(s)) as Box<dyn RecordStream>)
-                .collect();
-            let (session, mut lanes) =
-                CoopSession::start_with_mode(&kind, w.heap, boxed, None, mode)
-                    .expect("session starts");
-            while !session.is_complete() {
-                for lane in &mut lanes {
-                    lane.step(64);
-                }
+    let (kind, bench) = (LifeguardKind::MemCheck, Benchmark::Swaptions);
+    let w = workload(bench, 4);
+    let (streams, live_fp) = capture(kind, &w, false);
+    let mut fps = Vec::new();
+    let mut keys = Vec::new();
+    for mode in [BackendMode::CasPerAccess, BackendMode::DeltaMerge] {
+        let boxed: Vec<Box<dyn RecordStream>> = streams
+            .iter()
+            .cloned()
+            .map(|s| Box::new(paralog::core::BufferedStream::new(s)) as Box<dyn RecordStream>)
+            .collect();
+        let (session, mut lanes) =
+            CoopSession::start_with_mode(&kind, w.heap, boxed, None, mode).expect("session starts");
+        while !session.is_complete() {
+            for lane in &mut lanes {
+                lane.step(64);
             }
-            let metrics = session.report().expect("complete").expect("clean drain");
-            fps.push(metrics.fingerprint);
-            keys.push(violation_keys(&metrics.violations));
         }
-        assert_eq!(
-            fps[0], live_fp,
-            "{kind}/{bench}: coop cas diverged from live"
-        );
-        assert_eq!(fps[0], fps[1], "{kind}/{bench}: coop modes diverged");
-        assert_eq!(keys[0], keys[1], "{kind}/{bench}: coop violations diverged");
+        let metrics = session.report().expect("complete").expect("clean drain");
+        fps.push(metrics.fingerprint);
+        keys.push(violation_keys(&metrics.violations));
     }
+    assert_eq!(fps[0], live_fp, "{bench}: coop cas diverged from live");
+    assert_eq!(fps[0], fps[1], "{bench}: coop modes diverged");
+    assert_eq!(keys[0], keys[1], "{bench}: coop violations diverged");
 }
 
 // ---------------------------------------------------------------------------
@@ -358,65 +339,22 @@ fn explicit_delta_without_a_delta_form_is_unsupported() {
 // Racing private-slab writers (proptest; raced under TSan nightly)
 // ---------------------------------------------------------------------------
 
-/// One thread's stream: a metadata source over a private slab, then
-/// loads/stores at the generated slots. Private slabs make the final
-/// metadata schedule-independent, so racing replays must agree exactly.
-fn private_stream(kind: LifeguardKind, tid: u16, slots: &[u64]) -> Vec<EventRecord> {
-    // Race-lifeguard data addresses sit below the sync-object region.
-    let base = if matches!(kind, LifeguardKind::LockSet | LifeguardKind::HappensBefore) {
-        0x0100_0000
-    } else {
-        HEAP.start
-    };
-    let slab = AddrRange::new(base + u64::from(tid) * 0x10_000, 0x1000);
-    let prelude = match kind {
-        // HappensBefore has no CA prelude: an Rmw on an own per-thread
-        // sync word establishes the thread's epoch instead.
-        LifeguardKind::HappensBefore => EventRecord::instr(
-            Rid(1),
-            Instr::Rmw {
-                mem: MemRef::new(
-                    paralog::lifeguards::lockset::SYNC_SPACE_START + u64::from(tid) * 64,
-                    8,
-                ),
-                reg: Reg(0),
-            },
-        ),
-        LifeguardKind::LockSet => EventRecord::ca(
-            Rid(1),
-            CaRecord {
-                what: HighLevelKind::Lock(LockId(u32::from(tid))),
-                phase: CaPhase::End,
-                range: None,
-                issuer: ThreadId(tid),
-                issuer_rid: Rid(1),
-                seq: u64::MAX, // own-stream record: no cross-thread ordering
-            },
-        ),
-        LifeguardKind::TaintCheck => EventRecord::ca(
-            Rid(1),
-            CaRecord {
-                what: HighLevelKind::Syscall(SyscallKind::ReadInput),
-                phase: CaPhase::End,
-                range: Some(slab),
-                issuer: ThreadId(tid),
-                issuer_rid: Rid(1),
-                seq: u64::MAX,
-            },
-        ),
-        _ => EventRecord::ca(
-            Rid(1),
-            CaRecord {
-                what: HighLevelKind::Malloc,
-                phase: CaPhase::End,
-                range: Some(slab),
-                issuer: ThreadId(tid),
-                issuer_rid: Rid(1),
-                seq: u64::MAX,
-            },
-        ),
-    };
-    let mut recs = vec![prelude];
+/// One thread's stream: a malloc of a private slab, then loads/stores at
+/// the generated slots. Private slabs make the final metadata
+/// schedule-independent, so racing replays must agree exactly.
+fn private_stream(tid: u16, slots: &[u64]) -> Vec<EventRecord> {
+    let slab = AddrRange::new(HEAP.start + u64::from(tid) * 0x10_000, 0x1000);
+    let mut recs = vec![EventRecord::ca(
+        Rid(1),
+        CaRecord {
+            what: HighLevelKind::Malloc,
+            phase: CaPhase::End,
+            range: Some(slab),
+            issuer: ThreadId(tid),
+            issuer_rid: Rid(1),
+            seq: u64::MAX, // own-stream record: no cross-thread ordering
+        },
+    )];
     for (i, slot) in slots.iter().enumerate() {
         let mem = MemRef::new(slab.start + (slot % (slab.len / 8 - 1)) * 8, 8);
         let instr = if i % 2 == 0 {
@@ -468,11 +406,12 @@ fn race_delta(lg: &dyn DeltaLifeguard, streams: &[Vec<EventRecord>], flush_every
     });
 }
 
-fn check_racing_parity(kind: LifeguardKind, slots: &[Vec<u64>], flush_every: usize) {
+fn check_racing_parity(slots: &[Vec<u64>], flush_every: usize) {
+    let kind = LifeguardKind::MemCheck;
     let streams: Vec<Vec<EventRecord>> = slots
         .iter()
         .enumerate()
-        .map(|(t, s)| private_stream(kind, t as u16, s))
+        .map(|(t, s)| private_stream(t as u16, s))
         .collect();
     let cas = kind.concurrent(HEAP, streams.len()).expect("cas form");
     race_cas(&*cas, &streams);
@@ -484,12 +423,12 @@ fn check_racing_parity(kind: LifeguardKind, slots: &[Vec<u64>], flush_every: usi
     assert_eq!(
         cas.fingerprint(),
         delta.fingerprint(),
-        "{kind}: racing modes diverged on final metadata (flush_every={flush_every})"
+        "racing modes diverged on final metadata (flush_every={flush_every})"
     );
     assert_eq!(
         violation_keys(&cas.violations()),
         violation_keys(&delta.violations()),
-        "{kind}: racing modes diverged on violations (flush_every={flush_every})"
+        "racing modes diverged on violations (flush_every={flush_every})"
     );
 }
 
@@ -507,27 +446,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn racing_taintcheck_modes_agree((slots, flush) in slots_strategy()) {
-        check_racing_parity(LifeguardKind::TaintCheck, &slots, flush);
-    }
-
-    #[test]
     fn racing_memcheck_modes_agree((slots, flush) in slots_strategy()) {
-        check_racing_parity(LifeguardKind::MemCheck, &slots, flush);
-    }
-
-    #[test]
-    fn racing_lockset_modes_agree((slots, flush) in slots_strategy()) {
-        check_racing_parity(LifeguardKind::LockSet, &slots, flush);
-    }
-
-    #[test]
-    fn racing_addrcheck_modes_agree((slots, flush) in slots_strategy()) {
-        check_racing_parity(LifeguardKind::AddrCheck, &slots, flush);
-    }
-
-    #[test]
-    fn racing_happensbefore_modes_agree((slots, flush) in slots_strategy()) {
-        check_racing_parity(LifeguardKind::HappensBefore, &slots, flush);
+        check_racing_parity(&slots, flush);
     }
 }

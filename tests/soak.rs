@@ -812,13 +812,13 @@ fn adversarial_arc_fanout_replays_without_deadlock() {
 /// Preset `delta_thrash` vs its bound: ordered events at nearly every
 /// record force a delta-merge lane to flush its private window constantly;
 /// the thrashed delta replay must stay fingerprint-identical to
-/// CAS-per-access.
+/// CAS-per-access. MemCheck is the analysis with a delta form.
 #[test]
 fn adversarial_delta_thrash_keeps_mode_parity() {
     let rounds: u64 = if full_profile() { 50_000 } else { 5_000 };
     let cap = adversarial::delta_thrash(4, rounds);
-    let (_, cas) = coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::CasPerAccess);
-    let (_, delta) = coop_replay(LifeguardKind::TaintCheck, &cap, BackendMode::DeltaMerge);
+    let (_, cas) = coop_replay(LifeguardKind::MemCheck, &cap, BackendMode::CasPerAccess);
+    let (_, delta) = coop_replay(LifeguardKind::MemCheck, &cap, BackendMode::DeltaMerge);
     assert_eq!(cas.records, cap.records());
     assert_eq!(delta.records, cap.records());
     assert_eq!(
